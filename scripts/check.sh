@@ -29,7 +29,9 @@
 #      misses the affine optimum, the delta-eval speedup contract
 #      breaks, the co-optimizing pipeline tuner loses to the greedy
 #      baseline / fails certification, any open-loop serve request
-#      errors, or the snapshot warm-restart contract breaks.
+#      errors, or the snapshot warm-restart contract breaks; then 2 s
+#      perfbench runs of hot_hits and cold_tunes (the BENCHMARK.json
+#      workloads), which fail on any wrong reply.
 #
 # Usage:
 #   scripts/check.sh                         # all stages
@@ -108,7 +110,14 @@ run_perf() {
   cmake -B build -S . &&
   cmake --build build -j --target bench_e22_cost_eval bench_e23_anneal \
     bench_e24_pipeline bench_e25_distributed &&
-  ctest --test-dir build --output-on-failure -L perf
+  ctest --test-dir build --output-on-failure -L perf &&
+  # perfbench (BENCHMARK.json's command) builds its own Release tree in
+  # .bench_build and exits non-zero on any wrong reply, so a short run of
+  # each workload keeps the benchmark building and its answers checked.
+  python3 perfbench/run.py --workload hot_hits --seed 1 --seconds 2 \
+    --trace 0 &&
+  python3 perfbench/run.py --workload cold_tunes --seed 1 --seconds 2 \
+    --trace 0
 }
 
 run_stage() {

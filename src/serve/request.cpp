@@ -59,7 +59,7 @@ class Fingerprint {
 
 // Bump when the mix order or field set below changes, so stale
 // serialized keys (if anyone persists them) can never alias.
-constexpr std::uint64_t kKeySchema = 1;
+constexpr std::uint64_t kKeySchema = 2;
 
 void mix_point(Fingerprint& fp, const fm::Point& p) {
   fp.mix(p.i);
@@ -82,32 +82,9 @@ std::vector<fm::Point> sample_points(const fm::IndexDomain& dom,
   return pts;
 }
 
-void mix_spec(Fingerprint& fp, const fm::FunctionSpec& spec,
-              std::size_t samples) {
-  fp.mix(static_cast<std::uint64_t>(spec.num_tensors()));
-  for (fm::TensorId t = 0; t < spec.num_tensors(); ++t) {
-    fp.mix(spec.name(t));
-    const fm::IndexDomain& dom = spec.domain(t);
-    fp.mix(dom.rank());
-    for (int d = 0; d < 3; ++d) fp.mix(dom.extent(d));
-    fp.mix(spec.is_input(t));
-    fp.mix(spec.is_output(t));
-    fp.mix(static_cast<std::uint64_t>(spec.bits(t)));
-    fp.mix(spec.cost(t).ops);
-    fp.mix(static_cast<std::uint64_t>(spec.cost(t).bits));
-    if (spec.is_input(t)) continue;
-    // Sampled dependence edges: the dep function is a black box, so the
-    // relation itself is what gets fingerprinted.
-    for (const fm::Point& p : sample_points(dom, samples)) {
-      mix_point(fp, p);
-      const auto deps = spec.deps(t, p);
-      fp.mix(static_cast<std::uint64_t>(deps.size()));
-      for (const fm::ValueRef& d : deps) {
-        fp.mix(static_cast<std::uint64_t>(d.tensor));
-        mix_point(fp, d.point);
-      }
-    }
-  }
+void mix_spec_fp(Fingerprint& fp, const CacheKey& spec_fp) {
+  fp.mix(spec_fp.hi);
+  fp.mix(spec_fp.lo);
 }
 
 void mix_machine(Fingerprint& fp, const fm::MachineConfig& m) {
@@ -130,6 +107,20 @@ void mix_machine(Fingerprint& fp, const fm::MachineConfig& m) {
   fp.mix(m.pe_capacity_values);
   fp.mix(m.link_bits_per_cycle);
   fp.mix(m.local_access_pitch_fraction);
+}
+
+/// What fm::compile_spec consumes — spec, machine, input homes — and so
+/// the common prefix of a single-spec request's result and compile keys.
+void mix_compile_inputs(Fingerprint& fp, const Request& req,
+                        const CacheKey& spec_fp) {
+  mix_spec_fp(fp, spec_fp);
+  mix_machine(fp, req.machine);
+  fp.mix(static_cast<std::uint64_t>(req.inputs.size()));
+  for (const InputPlacement& in : req.inputs) {
+    fp.mix(static_cast<std::uint64_t>(in.kind));
+    fp.mix(in.pe.x);
+    fp.mix(in.pe.y);
+  }
 }
 
 void mix_affine(Fingerprint& fp, const fm::AffineMap& a) {
@@ -193,7 +184,7 @@ void mix_pipeline(Fingerprint& fp, const fm::Pipeline& pipe,
   for (std::size_t s = 0; s < pipe.size(); ++s) {
     const fm::PipelineStage& st = pipe.stage(s);
     fp.mix(st.name);
-    mix_spec(fp, *st.spec, samples);
+    mix_spec_fp(fp, spec_fingerprint(*st.spec, samples));
     fp.mix(static_cast<std::uint64_t>(st.inputs.size()));
     for (const fm::StageInput& b : st.inputs) {
       fp.mix(static_cast<std::uint64_t>(b.kind));
@@ -226,35 +217,67 @@ bool cacheable(const Request& req) {
   return req.spec != nullptr;
 }
 
+CacheKey spec_fingerprint(const fm::FunctionSpec& spec,
+                          std::size_t sample_points_n) {
+  Fingerprint fp;
+  fp.mix(static_cast<std::uint64_t>(spec.num_tensors()));
+  for (fm::TensorId t = 0; t < spec.num_tensors(); ++t) {
+    fp.mix(spec.name(t));
+    const fm::IndexDomain& dom = spec.domain(t);
+    fp.mix(dom.rank());
+    for (int d = 0; d < 3; ++d) fp.mix(dom.extent(d));
+    fp.mix(spec.is_input(t));
+    fp.mix(spec.is_output(t));
+    fp.mix(static_cast<std::uint64_t>(spec.bits(t)));
+    fp.mix(spec.cost(t).ops);
+    fp.mix(static_cast<std::uint64_t>(spec.cost(t).bits));
+    if (spec.is_input(t)) continue;
+    // Sampled dependence edges: the dep function is a black box, so the
+    // relation itself is what gets fingerprinted.
+    for (const fm::Point& p : sample_points(dom, sample_points_n)) {
+      mix_point(fp, p);
+      const auto deps = spec.deps(t, p);
+      fp.mix(static_cast<std::uint64_t>(deps.size()));
+      for (const fm::ValueRef& d : deps) {
+        fp.mix(static_cast<std::uint64_t>(d.tensor));
+        mix_point(fp, d.point);
+      }
+    }
+  }
+  return fp.key();
+}
+
 CacheKey make_cache_key(const Request& req, std::size_t sample_points_n) {
+  if (req.kind != RequestKind::kPipelineTune) {
+    HARMONY_REQUIRE(req.spec != nullptr, "make_cache_key: null spec");
+    return make_cache_key(req, spec_fingerprint(*req.spec, sample_points_n));
+  }
+  HARMONY_REQUIRE(req.pipeline != nullptr, "make_cache_key: null pipeline");
   Fingerprint fp;
   fp.mix(kKeySchema);
   fp.mix(static_cast<std::uint64_t>(req.kind));
-  if (req.kind == RequestKind::kPipelineTune) {
-    HARMONY_REQUIRE(req.pipeline != nullptr, "make_cache_key: null pipeline");
-    mix_pipeline(fp, *req.pipeline, sample_points_n);
-    mix_machine(fp, req.machine);
-    fp.mix(static_cast<std::uint64_t>(req.fom));
-    fp.mix(req.pipeline_paired);
-    fp.mix(static_cast<std::uint64_t>(req.pipeline_pair_candidates));
-    fp.mix(static_cast<std::uint64_t>(req.strategy));
-    if (req.strategy == fm::StrategyKind::kExhaustive) {
-      mix_search(fp, req.search);
-    } else {
-      mix_strategy(fp, req.strategy_opts);
-    }
-    return fp.key();
-  }
-  HARMONY_REQUIRE(req.spec != nullptr, "make_cache_key: null spec");
-  mix_spec(fp, *req.spec, sample_points_n);
+  mix_pipeline(fp, *req.pipeline, sample_points_n);
   mix_machine(fp, req.machine);
   fp.mix(static_cast<std::uint64_t>(req.fom));
-  fp.mix(static_cast<std::uint64_t>(req.inputs.size()));
-  for (const InputPlacement& in : req.inputs) {
-    fp.mix(static_cast<std::uint64_t>(in.kind));
-    fp.mix(in.pe.x);
-    fp.mix(in.pe.y);
+  fp.mix(req.pipeline_paired);
+  fp.mix(static_cast<std::uint64_t>(req.pipeline_pair_candidates));
+  fp.mix(static_cast<std::uint64_t>(req.strategy));
+  if (req.strategy == fm::StrategyKind::kExhaustive) {
+    mix_search(fp, req.search);
+  } else {
+    mix_strategy(fp, req.strategy_opts);
   }
+  return fp.key();
+}
+
+CacheKey make_cache_key(const Request& req, const CacheKey& spec_fp) {
+  HARMONY_REQUIRE(req.kind != RequestKind::kPipelineTune,
+                  "make_cache_key: a pipeline has no single spec fingerprint");
+  Fingerprint fp;
+  fp.mix(kKeySchema);
+  fp.mix(static_cast<std::uint64_t>(req.kind));
+  mix_compile_inputs(fp, req, spec_fp);
+  fp.mix(static_cast<std::uint64_t>(req.fom));
   switch (req.kind) {
     case RequestKind::kCostEval:
       mix_affine(fp, req.map);
@@ -272,26 +295,23 @@ CacheKey make_cache_key(const Request& req, std::size_t sample_points_n) {
       }
       break;
     case RequestKind::kPipelineTune:
-      break;  // handled above
+      break;  // rejected above
   }
   return fp.key();
 }
 
 CacheKey make_compile_key(const Request& req, std::size_t sample_points_n) {
   HARMONY_REQUIRE(req.spec != nullptr, "make_compile_key: null spec");
+  return make_compile_key(req, spec_fingerprint(*req.spec, sample_points_n));
+}
+
+CacheKey make_compile_key(const Request& req, const CacheKey& spec_fp) {
   Fingerprint fp;
   fp.mix(kKeySchema);
   // Domain-separation tag: result keys mix RequestKind (0..2) here, so a
   // compile key can never collide with any result key.
   fp.mix(std::uint64_t{0xc04111edULL});
-  mix_spec(fp, *req.spec, sample_points_n);
-  mix_machine(fp, req.machine);
-  fp.mix(static_cast<std::uint64_t>(req.inputs.size()));
-  for (const InputPlacement& in : req.inputs) {
-    fp.mix(static_cast<std::uint64_t>(in.kind));
-    fp.mix(in.pe.x);
-    fp.mix(in.pe.y);
-  }
+  mix_compile_inputs(fp, req, spec_fp);
   return fp.key();
 }
 
@@ -304,7 +324,8 @@ CacheKey make_stage_compile_key(const Request& req, std::size_t stage,
   fp.mix(kKeySchema);
   // Domain-separation tag, distinct from make_compile_key's.
   fp.mix(std::uint64_t{0x51a6e5edULL});
-  mix_spec(fp, *req.pipeline->stage(stage).spec, sample_points_n);
+  mix_spec_fp(fp, spec_fingerprint(*req.pipeline->stage(stage).spec,
+                                   sample_points_n));
   mix_machine(fp, req.machine);
   // The resolved input homes, compressed by the tuner: externals
   // structurally, producer winners by their committed coefficients /

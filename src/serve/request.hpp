@@ -14,7 +14,10 @@
 // trick the autotuner's causality pre-check uses).  Two specs that agree
 // on every sampled edge but differ elsewhere would collide; callers that
 // synthesize adversarial spec families can raise `sample_points` up to
-// the domain size for an exact edge hash.
+// the domain size for an exact edge hash.  That spec part is computed
+// by spec_fingerprint() and mixed into every key as two words, so a
+// caller that fingerprints a spec once can key any number of requests
+// on it without re-sampling the dependence function.
 #pragma once
 
 #include <chrono>
@@ -182,21 +185,37 @@ struct CacheKeyHash {
 /// cache for a later, more patient caller.
 [[nodiscard]] bool cacheable(const Request& req);
 
-/// Canonical key over (kind, spec structure, sampled dependence edges,
-/// input placements, machine config, FoM, and the kind-specific payload:
-/// AffineMap coefficients, verify options, or search-space knobs).
-/// Stable across processes and runs — no pointer values, no iteration
-/// order dependence.
+/// Fingerprint of one spec: its structure (domains, bit widths, op
+/// costs) and its dependence edges at `sample_points` sampled domain
+/// points.  The costly part of every key — it calls the dependence
+/// function at each sample — so the Service computes it once per live
+/// spec object and feeds it to the overloads below.
+[[nodiscard]] CacheKey spec_fingerprint(const fm::FunctionSpec& spec,
+                                        std::size_t sample_points = 32);
+
+/// Canonical key over (kind, spec fingerprint, machine config, input
+/// placements, FoM, and the kind-specific payload: AffineMap
+/// coefficients, verify options, or search-space knobs).  Stable across
+/// processes and runs — no pointer values, no iteration order
+/// dependence.  For a single-spec request this is
+/// make_cache_key(req, spec_fingerprint(*req.spec, sample_points)).
 [[nodiscard]] CacheKey make_cache_key(const Request& req,
                                       std::size_t sample_points = 32);
+/// make_cache_key for a single-spec request (not kPipelineTune) whose
+/// spec fingerprint `spec_fp` is already known.
+[[nodiscard]] CacheKey make_cache_key(const Request& req,
+                                      const CacheKey& spec_fp);
 
-/// Key over only what fm::compile_spec consumes: spec structure, sampled
-/// dependence edges, machine config, and input placements.  Deliberately
-/// coarser than make_cache_key — two tunes that differ in FoM or search
-/// knobs share one CompiledSpec, so the service's compile cache can hand
-/// both the same flat tables.  Tagged so it can never alias a result key.
+/// Key over only what fm::compile_spec consumes: spec fingerprint,
+/// machine config, and input placements.  Deliberately coarser than
+/// make_cache_key — two tunes that differ in FoM or search knobs share
+/// one CompiledSpec, so the service's compile cache can hand both the
+/// same flat tables.  Tagged so it can never alias a result key.
 [[nodiscard]] CacheKey make_compile_key(const Request& req,
                                         std::size_t sample_points = 32);
+/// make_compile_key with the spec fingerprint already known.
+[[nodiscard]] CacheKey make_compile_key(const Request& req,
+                                        const CacheKey& spec_fp);
 
 /// Compile key for one pipeline stage: stage spec structure, machine,
 /// and the resolved-input-home fingerprint the pipeline tuner reports

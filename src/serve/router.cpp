@@ -33,10 +33,10 @@ std::size_t Router::num_shards() const {
 }
 
 void Router::submit(const WireRequest& req, Callback on_reply) {
-  const CacheKey key = routing_key(req);
   Writer w;
   encode(w, req);
   std::vector<std::uint8_t> body = w.take();
+  const CacheKey key = routing_key(body);
 
   std::uint64_t id = 0;
   std::shared_ptr<Channel> channel;

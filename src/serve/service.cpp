@@ -14,6 +14,10 @@ namespace harmony::serve {
 
 namespace {
 
+/// Specs the fingerprint memo holds at once.  When it is full, entries
+/// whose spec is gone are dropped, or else all of them.
+constexpr std::size_t kSpecFpCapacity = 1024;
+
 /// Builds the full Mapping a request describes: the AffineMap on the
 /// single computed tensor plus the declared input homes (DRAM default).
 fm::Mapping materialize_mapping(const Request& req,
@@ -97,7 +101,7 @@ std::future<Response> Service::submit(Request req) {
   p->enqueued = now;
   p->use_cache = cacheable(p->req);
   if (p->use_cache) {
-    p->key = make_cache_key(p->req, cfg_.key_sample_points);
+    p->key = result_key(p->req);
     // Fast path: answer memoized queries on the caller's thread, never
     // touching the admission queue.
     if (auto hit = cache_.get(p->key)) {
@@ -476,7 +480,7 @@ void Service::check_winner_exec(Response& r,
 
 void Service::warm(const Request& req, Response resp) {
   if (!cacheable(req)) return;
-  const CacheKey key = make_cache_key(req, cfg_.key_sample_points);
+  const CacheKey key = result_key(req);
   resp.cache_hit = false;
   resp.latency = std::chrono::nanoseconds{0};
   cache_.put(key, std::make_shared<Response>(std::move(resp)));
@@ -488,13 +492,46 @@ void Service::precompile(const Request& req) {
   (void)compiled_for(req);
 }
 
+CacheKey Service::spec_fp(
+    const std::shared_ptr<const fm::FunctionSpec>& spec) {
+  // An entry for a freed spec has expired; one made for an unowned
+  // pointer (aliasing an empty shared_ptr) was expired from the start.
+  const auto live_owner = [&spec](const SpecFp& e) {
+    return !e.owner.expired() && !e.owner.owner_before(spec) &&
+           !spec.owner_before(e.owner);
+  };
+  {
+    std::lock_guard<std::mutex> lk(spec_fp_mu_);
+    if (const auto it = spec_fps_.find(spec.get());
+        it != spec_fps_.end() && live_owner(it->second)) {
+      return it->second.fp;
+    }
+  }
+  // Sample outside the lock; a racing duplicate computes the same value.
+  const CacheKey fp = spec_fingerprint(*spec, cfg_.key_sample_points);
+  std::lock_guard<std::mutex> lk(spec_fp_mu_);
+  if (spec_fps_.size() >= kSpecFpCapacity) {
+    std::erase_if(spec_fps_,
+                  [](const auto& e) { return e.second.owner.expired(); });
+    if (spec_fps_.size() >= kSpecFpCapacity) spec_fps_.clear();
+  }
+  spec_fps_.insert_or_assign(spec.get(), SpecFp{spec, fp});
+  return fp;
+}
+
+CacheKey Service::result_key(const Request& req) {
+  return req.kind == RequestKind::kPipelineTune
+             ? make_cache_key(req, cfg_.key_sample_points)
+             : make_cache_key(req, spec_fp(req.spec));
+}
+
 std::shared_ptr<const fm::CompiledSpec> Service::compiled_for(
     const Request& req) {
   if (cfg_.compile_cache_capacity == 0) {
     metrics_.on_compile(false);
     return fm::compile_spec(*req.spec, req.machine, input_proto(req));
   }
-  const CacheKey key = make_compile_key(req, cfg_.key_sample_points);
+  const CacheKey key = make_compile_key(req, spec_fp(req.spec));
   return compiled_cached(key, [&] {
     return fm::compile_spec(*req.spec, req.machine, input_proto(req));
   });

@@ -164,6 +164,11 @@ class Service {
   /// — pipeline tunes certify one winner per stage.
   void check_winner_exec(Response& r, const analyze::ExecWitness& witness);
   void respond(Pending& p, Response r);
+  /// spec_fingerprint(*spec), memoized per live spec object (spec_fps_).
+  [[nodiscard]] CacheKey spec_fp(
+      const std::shared_ptr<const fm::FunctionSpec>& spec);
+  /// make_cache_key(req) with the spec fingerprint from the memo.
+  [[nodiscard]] CacheKey result_key(const Request& req);
   /// CompiledSpec for a tune request, via the LRU compile cache (may
   /// compile — propagates oracle preconditions as exceptions, which
   /// execute() converts to kError).
@@ -205,7 +210,20 @@ class Service {
     std::exception_ptr error;
   };
 
+  /// One spec_fps_ entry: the fingerprint and the spec's owner.
+  struct SpecFp {
+    std::weak_ptr<const fm::FunctionSpec> owner;
+    CacheKey fp;
+  };
+
   ServiceConfig cfg_;
+  /// Spec fingerprints by spec address, so a cache hit never re-samples
+  /// the dependence function.  An entry answers only a pointer that
+  /// shares ownership with its unexpired weak_ptr: a spec freed and
+  /// replaced at the same address is fingerprinted afresh.  Bounded
+  /// (service.cpp kSpecFpCapacity); keeps no spec alive.
+  std::mutex spec_fp_mu_;
+  std::unordered_map<const fm::FunctionSpec*, SpecFp> spec_fps_;
   ResultCache cache_;
   BoundedQueue<std::unique_ptr<Pending>> queue_;
   sched::Scheduler scheduler_;

@@ -199,6 +199,7 @@ void encode(Writer& w, const WireRequest& req) {
   w.u64(req.quick_sample);
   w.f64(req.makespan_slack);
   w.u64(req.top_k);
+  // The QoS tail: last, and exactly kRequestQosBytes long.
   w.i64(req.deadline_ns);
   w.u32(req.tune_workers);
 }
@@ -516,19 +517,18 @@ constexpr std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// Hashes `bytes` in 8-byte little-endian chunks (the last one
+/// zero-padded), reading every byte from index `keep` on as zero.
 std::uint64_t hash_bytes(const std::vector<std::uint8_t>& bytes,
-                         std::uint64_t seed) {
+                         std::size_t keep, std::uint64_t seed) {
   std::uint64_t h = mix64(seed ^ bytes.size());
-  std::size_t i = 0;
-  for (; i + 8 <= bytes.size(); i += 8) {
-    std::uint64_t chunk;
-    std::memcpy(&chunk, bytes.data() + i, 8);
+  for (std::size_t i = 0; i < bytes.size(); i += 8) {
+    std::uint64_t chunk = 0;
+    if (i < keep) {
+      std::memcpy(&chunk, bytes.data() + i,
+                  std::min<std::size_t>(8, keep - i));
+    }
     h = mix64(h ^ chunk);
-  }
-  std::uint64_t tail = 0;
-  if (i < bytes.size()) {
-    std::memcpy(&tail, bytes.data() + i, bytes.size() - i);
-    h = mix64(h ^ tail);
   }
   return h;
 }
@@ -536,19 +536,24 @@ std::uint64_t hash_bytes(const std::vector<std::uint8_t>& bytes,
 }  // namespace
 
 CacheKey routing_key(const WireRequest& req) {
-  WireRequest canon = req;
-  // QoS, not semantics: a change of patience or lane budget must not
-  // migrate the key off its warm shard.
-  canon.deadline_ns = 0;
-  canon.tune_workers = 0;
   Writer w;
-  encode(w, canon);
-  const std::vector<std::uint8_t> bytes = w.data();
+  encode(w, req);
+  return routing_key(w.data());
+}
+
+CacheKey routing_key(const std::vector<std::uint8_t>& encoded) {
+  if (encoded.size() < kRequestQosBytes) {
+    throw WireError("routing_key: " + std::to_string(encoded.size()) +
+                    "-byte body is shorter than the QoS tail");
+  }
+  // QoS, not semantics: a change of patience or lane budget must not
+  // migrate the key off its warm shard, so the tail hashes as zeros.
+  const std::size_t keep = encoded.size() - kRequestQosBytes;
   // Two independently seeded streams, the same construction as the
   // result-cache fingerprints: a 64-bit collision cannot alias a route
   // *and* a coalesce decision at once.
-  return CacheKey{hash_bytes(bytes, 0xd157e1b0a7e45e21ULL),
-                  hash_bytes(bytes, 0x5e9f00d5c0a1e5ceULL)};
+  return CacheKey{hash_bytes(encoded, keep, 0xd157e1b0a7e45e21ULL),
+                  hash_bytes(encoded, keep, 0x5e9f00d5c0a1e5ceULL)};
 }
 
 std::vector<std::uint8_t> semantic_bytes(const WireResponse& resp) {
@@ -571,11 +576,12 @@ std::vector<std::uint8_t> semantic_bytes(const WireResponse& resp) {
 namespace {
 
 /// Shared state of a loopback pair: inbox[e] is endpoint e's receive
-/// queue.  A close from either side wakes both (a drained peer must see
-/// EOF, exactly like a socket).
+/// queue, and arrived[e] wakes its one reader — so a send never wakes
+/// the sender's own reader.  A close from either side wakes both (a
+/// drained peer must see EOF, exactly like a socket).
 struct LoopbackState {
   std::mutex mu;
-  std::condition_variable cv;
+  std::condition_variable arrived[2];
   std::deque<Frame> inbox[2];
   bool closed = false;
 };
@@ -587,17 +593,22 @@ class LoopbackChannel final : public Channel {
   ~LoopbackChannel() override { close(); }
 
   bool send(const Frame& frame) override {
-    std::lock_guard<std::mutex> lock(state_->mu);
-    if (state_->closed) return false;
-    state_->inbox[1 - endpoint_].push_back(frame);
-    state_->cv.notify_all();
+    const int peer = 1 - endpoint_;
+    {
+      std::lock_guard<std::mutex> lock(state_->mu);
+      if (state_->closed) return false;
+      state_->inbox[peer].push_back(frame);
+    }
+    // recv() has a single consumer per endpoint, so one wakeup suffices.
+    state_->arrived[peer].notify_one();
     return true;
   }
 
   bool recv(Frame& frame) override {
     std::unique_lock<std::mutex> lock(state_->mu);
     std::deque<Frame>& inbox = state_->inbox[endpoint_];
-    state_->cv.wait(lock, [&] { return !inbox.empty() || state_->closed; });
+    state_->arrived[endpoint_].wait(
+        lock, [&] { return !inbox.empty() || state_->closed; });
     // Drain pending frames even after close — a socket delivers what
     // was written before the FIN, and tests rely on that parity.
     if (inbox.empty()) return false;
@@ -607,9 +618,11 @@ class LoopbackChannel final : public Channel {
   }
 
   void close() override {
-    std::lock_guard<std::mutex> lock(state_->mu);
-    state_->closed = true;
-    state_->cv.notify_all();
+    {
+      std::lock_guard<std::mutex> lock(state_->mu);
+      state_->closed = true;
+    }
+    for (std::condition_variable& cv : state_->arrived) cv.notify_all();
   }
 
  private:
@@ -670,7 +683,8 @@ class FdChannel final : public Channel {
   bool send(const Frame& frame) override {
     if (frame.body.size() > kMaxFrameBytes - 9) return false;
     // Header + body under one lock: frames from concurrent senders
-    // (the worker's responder pool) never interleave on the stream.
+    // (a worker's receive thread and responders) never interleave on the
+    // stream.
     std::lock_guard<std::mutex> lock(send_mu_);
     Writer hdr;
     hdr.u32(static_cast<std::uint32_t>(9 + frame.body.size()));

@@ -180,10 +180,16 @@ struct WireRequest {
   std::uint64_t top_k = 5;
   // Routing-excluded fields: per-request QoS, not semantics.  Zeroed by
   // routing_key() so a deadline change cannot migrate a key away from
-  // its warm shard.
+  // its warm shard.  encode() writes them last, as the final
+  // kRequestQosBytes of the body.
   std::int64_t deadline_ns = 0;
   std::uint32_t tune_workers = 0;
 };
+
+/// Size of the QoS tail (deadline_ns, tune_workers) that ends every
+/// encoded WireRequest.  Zeroing it yields the request's canonical
+/// semantic bytes without a decode.
+inline constexpr std::size_t kRequestQosBytes = 12;
 
 void encode(Writer& w, const WireRequest& req);
 [[nodiscard]] WireRequest decode_request(Reader& r);
@@ -287,6 +293,12 @@ void encode(Writer& w, const WireMetrics& m);
 /// only needs stability and spread, both of which hashing the canonical
 /// encoding provides.
 [[nodiscard]] CacheKey routing_key(const WireRequest& req);
+
+/// routing_key of an already encoded request (encode()'s output or a
+/// kSubmit body), without decoding it: the QoS tail hashes as zeros, so
+/// routing_key(encode(req)) == routing_key(req).  Throws WireError when
+/// the body is shorter than the tail.
+[[nodiscard]] CacheKey routing_key(const std::vector<std::uint8_t>& encoded);
 
 /// The response's semantic payload serialized with delivery metadata
 /// (latency, cache_hit, shard, stolen, coalesced) zeroed — two replies

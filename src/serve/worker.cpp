@@ -1,12 +1,36 @@
 #include "serve/worker.hpp"
 
 #include <algorithm>
-#include <future>
+#include <chrono>
+#include <string>
+#include <thread>
 #include <utility>
 
 #include "trace/trace.hpp"
 
 namespace harmony::serve {
+
+namespace {
+
+std::vector<std::uint8_t> encoded(const WireResponse& resp) {
+  Writer w;
+  encode(w, resp);
+  return w.take();
+}
+
+/// Sends one kReply body, closing the request's shard span.
+void send_reply(Channel& channel, std::uint64_t id, std::uint64_t begin_ns,
+                std::vector<std::uint8_t> body) {
+  if (begin_ns != 0 && trace::enabled()) {
+    // The shard half of the cross-process lifecycle: same correlation
+    // id as the router's "route" span, so a timeline viewer joins them
+    // into one request track.
+    trace::emit_span("serve_dist", "shard", begin_ns, trace::now_ns(), id);
+  }
+  channel.send(Frame{MsgType::kReply, id, std::move(body)});
+}
+
+}  // namespace
 
 Worker::Worker(WorkerConfig cfg)
     : cfg_(cfg),
@@ -17,9 +41,8 @@ Worker::~Worker() { replies_.close(); }
 
 void Worker::serve(std::shared_ptr<Channel> channel) {
   std::vector<std::thread> responders;
-  const unsigned n = std::max(1u, cfg_.responders);
-  responders.reserve(n);
-  for (unsigned i = 0; i < n; ++i) {
+  responders.reserve(kResponders);
+  for (unsigned i = 0; i < kResponders; ++i) {
     responders.emplace_back([this, &channel] { responder_loop(*channel); });
   }
 
@@ -28,12 +51,12 @@ void Worker::serve(std::shared_ptr<Channel> channel) {
   while (running && channel->recv(frame)) {
     switch (frame.type) {
       case MsgType::kSubmit: {
-        auto reply = std::make_unique<Reply>();
-        reply->id = frame.id;
-        if (trace::enabled()) reply->begin_ns = trace::now_ns();
+        Reply reply;
+        reply.id = frame.id;
+        if (trace::enabled()) reply.begin_ns = trace::now_ns();
         try {
           Reader r(frame.body);
-          WireRequest wire = decode_request(r);
+          const WireRequest wire = decode_request(r);
           r.expect_end();
           if (wire.kind != RequestKind::kCostEval &&
               wire.kind != RequestKind::kLegality &&
@@ -42,21 +65,24 @@ void Worker::serve(std::shared_ptr<Channel> channel) {
                             " is not supported over the wire "
                             "(in-process tiers only)");
           }
-          // Canonical (QoS-zeroed) encoding: the snapshot-log identity,
-          // so re-asks with a different deadline dedup onto one entry.
-          WireRequest canon = wire;
-          canon.deadline_ns = 0;
-          canon.tune_workers = 0;
-          Writer cw;
-          encode(cw, canon);
-          reply->request = cw.take();
-          reply->key = routing_key(wire);
-          reply->future = service_.submit(to_request(wire, catalog_));
+          reply.future = service_.submit(to_request(wire, catalog_));
         } catch (const std::exception& e) {
-          reply->immediate = true;
-          reply->error.status = static_cast<std::uint8_t>(Status::kError);
-          reply->error.error = e.what();
+          WireResponse err;
+          err.status = static_cast<std::uint8_t>(Status::kError);
+          err.error = e.what();
+          send_reply(*channel, reply.id, reply.begin_ns, encoded(err));
+          break;
         }
+        reply.request = std::move(frame.body);
+        // Hits and rejections are answered here, with no handoff; only
+        // queued work waits for a responder.
+        if (reply.future.wait_for(std::chrono::seconds(0)) ==
+            std::future_status::ready) {
+          respond(*channel, reply);
+          break;
+        }
+        const std::uint64_t id = reply.id;
+        const std::uint64_t begin_ns = reply.begin_ns;
         if (!replies_.try_push(std::move(reply))) {
           // Responder backlog full: shed load the same way the Service
           // sheds admission-queue overflow.
@@ -64,9 +90,7 @@ void Worker::serve(std::shared_ptr<Channel> channel) {
           rej.status = static_cast<std::uint8_t>(Status::kRejected);
           rej.error = "shard responder backlog full";
           rej.retry_after_ns = cfg_.service.retry_after.count();
-          Writer w;
-          encode(w, rej);
-          channel->send(Frame{MsgType::kReply, frame.id, w.take()});
+          send_reply(*channel, id, begin_ns, encoded(rej));
         }
         break;
       }
@@ -109,47 +133,35 @@ void Worker::serve(std::shared_ptr<Channel> channel) {
   channel->close();
 }
 
+void Worker::respond(Channel& channel, Reply& reply) {
+  const Response resp = reply.future.get();
+  std::vector<std::uint8_t> body = encoded(to_wire(resp));
+  // Log converged, freshly computed answers: deadline-cut tunes stay out
+  // (same rule as the result cache), and hits are already logged from
+  // the run that computed them.
+  const bool converged =
+      resp.kind != RequestKind::kTune || resp.search.exhausted;
+  if (resp.ok() && !resp.cache_hit && converged) {
+    // Canonical request bytes: the received body with the QoS tail
+    // zeroed, so re-asks with another deadline dedup onto one entry.
+    std::vector<std::uint8_t>& request = reply.request;
+    std::fill(request.end() - kRequestQosBytes, request.end(), 0);
+    const CacheKey key = routing_key(request);
+    std::lock_guard<std::mutex> lock(snap_mu_);
+    if (const auto it = snap_index_.find(key); it != snap_index_.end()) {
+      snap_entries_[it->second].response = body;
+    } else if (snap_entries_.size() < cfg_.snapshot_capacity) {
+      snap_index_.emplace(key, snap_entries_.size());
+      snap_entries_.push_back(SnapshotEntry{std::move(request), body});
+    }
+  }
+  send_reply(channel, reply.id, reply.begin_ns, std::move(body));
+}
+
 void Worker::responder_loop(Channel& channel) {
   trace::set_thread_name("serve-shard");
-  std::unique_ptr<Reply> reply;
-  while (replies_.pop(reply)) {
-    WireResponse wire;
-    if (reply->immediate) {
-      wire = reply->error;
-    } else {
-      const Response resp = reply->future.get();
-      wire = to_wire(resp);
-      // Log converged, freshly computed answers: deadline-cut tunes
-      // stay out (same rule as the result cache), and hits are already
-      // logged from the run that computed them.
-      const bool converged =
-          resp.kind != RequestKind::kTune || resp.search.exhausted;
-      if (resp.ok() && !resp.cache_hit && converged) {
-        std::lock_guard<std::mutex> lock(snap_mu_);
-        if (const auto it = snap_index_.find(reply->key);
-            it != snap_index_.end()) {
-          Writer w;
-          encode(w, wire);
-          snap_entries_[it->second].response = w.take();
-        } else if (snap_entries_.size() < cfg_.snapshot_capacity) {
-          Writer w;
-          encode(w, wire);
-          snap_index_.emplace(reply->key, snap_entries_.size());
-          snap_entries_.push_back(SnapshotEntry{reply->request, w.take()});
-        }
-      }
-    }
-    if (reply->begin_ns != 0 && trace::enabled()) {
-      // The shard half of the cross-process lifecycle: same correlation
-      // id as the router's "route" span, so a timeline viewer joins
-      // them into one request track.
-      trace::emit_span("serve_dist", "shard", reply->begin_ns,
-                       trace::now_ns(), reply->id);
-    }
-    Writer w;
-    encode(w, wire);
-    channel.send(Frame{MsgType::kReply, reply->id, w.take()});
-  }
+  Reply reply;
+  while (replies_.pop(reply)) respond(channel, reply);
 }
 
 CacheSnapshot Worker::snapshot() const {
@@ -175,8 +187,9 @@ std::uint64_t Worker::restore(const CacheSnapshot& snap) {
     // replaying the snapshot's keys afterwards compiles nothing.
     service_.precompile(req);
     {
+      // Keyed like the live log: by the entry's own request bytes.
+      const CacheKey key = routing_key(e.request);
       std::lock_guard<std::mutex> lock(snap_mu_);
-      const CacheKey key = routing_key(wire_req);
       if (snap_index_.find(key) == snap_index_.end() &&
           snap_entries_.size() < cfg_.snapshot_capacity) {
         snap_index_.emplace(key, snap_entries_.size());

@@ -6,15 +6,18 @@
 // rebuilding named specs off the wire, and a serve() loop speaking the
 // frame protocol over one Channel.
 //
-// serve() never blocks the receive loop on an oracle: each kSubmit is
-// decoded, submitted to the Service (which answers cache hits
-// instantly and queues the rest), and handed with its future to a
-// small responder pool that waits, records the snapshot log, and sends
-// the kReply.  Replies therefore return in completion order, not
-// arrival order — the correlation id, not position, matches them up.
+// serve()'s receive thread decodes each kSubmit and submits it to the
+// Service.  An answer that is ready at once — a cache hit, a rejection,
+// or the error for a bad frame — is sent from the receive thread
+// itself, with no handoff.  Only queued work goes to a small responder
+// pool that waits on the Service future and sends the kReply, so the
+// receive loop never blocks on an oracle and a hit never waits behind
+// a tune.  Replies therefore return in completion order, not arrival
+// order — the correlation id, not position, matches them up.
 //
-// The snapshot log retains the encoded (request, response) pair of
-// every *converged* non-hit answer, deduplicated by routing key.
+// The snapshot log retains the (request, response) pair of every
+// *converged* non-hit answer, deduplicated by routing key; the request
+// bytes are the received kSubmit body with its QoS tail zeroed.
 // snapshot()/restore() round-trip it so a restarted shard starts warm:
 // restore replays results into the result cache (Service::warm) and
 // recompiles each distinct tune triple once (Service::precompile) —
@@ -22,11 +25,10 @@
 // stampede when traffic returns.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -39,11 +41,9 @@ namespace harmony::serve {
 
 struct WorkerConfig {
   ServiceConfig service;
-  /// Responder threads waiting on Service futures and sending replies.
-  /// 2 keeps a slow tune from head-of-line-blocking a stream of cheap
-  /// cost evals without meaningfully adding threads.
-  unsigned responders = 2;
-  /// Snapshot-log entries retained (FIFO beyond; 0 disables logging).
+  /// Snapshot-log entries retained.  Once the log is full, answers for
+  /// keys it does not hold yet are not logged (nothing is evicted);
+  /// 0 disables logging.
   std::size_t snapshot_capacity = 4096;
 };
 
@@ -73,25 +73,29 @@ class Worker {
   [[nodiscard]] SpecCatalog& catalog() { return catalog_; }
 
  private:
+  /// Responder threads waiting on queued Service futures.  2 keeps a
+  /// slow tune from head-of-line-blocking a stream of cheap misses
+  /// without meaningfully adding threads.
+  static constexpr unsigned kResponders = 2;
+
+  /// A submitted request on its way to its kReply.
   struct Reply {
     std::uint64_t id = 0;
-    std::uint64_t begin_ns = 0;
-    CacheKey key;  ///< routing key (snapshot-log dedup)
-    std::vector<std::uint8_t> request;  ///< canonical encoding (QoS zeroed)
+    std::uint64_t begin_ns = 0;  ///< shard span start; 0 when untraced
+    std::vector<std::uint8_t> request;  ///< the received kSubmit body
     std::future<Response> future;
-    /// Pre-built error reply (decode/convert failed before submit).
-    bool immediate = false;
-    WireResponse error;
   };
 
+  /// Waits for the answer, logs it when it is fresh and converged, and
+  /// sends the kReply.  The receive thread runs it for answers that are
+  /// ready at submit, the responder pool for the rest.
+  void respond(Channel& channel, Reply& reply);
   void responder_loop(Channel& channel);
-  void record(const std::vector<std::uint8_t>& request_bytes,
-              const WireResponse& resp);
 
   WorkerConfig cfg_;
   SpecCatalog catalog_;
   Service service_;
-  BoundedQueue<std::unique_ptr<Reply>> replies_;
+  BoundedQueue<Reply> replies_;
 
   mutable std::mutex snap_mu_;
   std::vector<SnapshotEntry> snap_entries_;

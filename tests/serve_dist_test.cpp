@@ -8,6 +8,7 @@
 //   * repeat queries hit the affinity shard's result cache;
 //   * duplicate in-flight queries coalesce onto one shard ask;
 //   * stolen requests return byte-identical semantic payloads;
+//   * a cache hit is answered ahead of slower work queued before it;
 //   * drain completes with zero dropped or errored in-flight requests,
 //     and rejoin restores the exact pre-drain placement;
 //   * snapshot/restore warm-starts a fresh shard: replayed keys are
@@ -20,6 +21,7 @@
 #include <cstdint>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -338,6 +340,43 @@ TEST(ServeDist, SnapshotRestoreWarmStartsWithoutRecompiles) {
   EXPECT_EQ(after_replay.compile_misses, after_restore.compile_misses)
       << "replayed keys must not recompile";
   EXPECT_GE(after_replay.cache_hits, 2u);
+}
+
+TEST(ServeDist, CacheHitIsNotAnsweredBehindRunningTunes) {
+  Fleet fleet(1);
+  const WireRequest hit = cost_req(8, 8, 4);
+  ASSERT_EQ(fleet.router.call(hit).status, kOk);  // warm the key
+
+  // Two uncached tunes on different machines (so they cannot coalesce)
+  // keep both of the shard's responders waiting; the warm hit behind
+  // them must still come back first.
+  WireRequest tune6 = tune_req("matmul:6", 6);
+  tune6.machine_rows = 6;
+  WireRequest tune7 = tune_req("matmul:6", 7);
+  tune7.machine_rows = 7;
+
+  std::mutex mu;
+  std::vector<std::string> order;
+  std::vector<std::promise<WireResponse>> done(3);
+  std::vector<std::future<WireResponse>> futs;
+  for (auto& d : done) futs.push_back(d.get_future());
+  const auto record = [&](std::size_t i, const char* name) {
+    return [&, i, name](const WireResponse& r) {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        order.emplace_back(name);
+      }
+      done[i].set_value(r);
+    };
+  };
+  fleet.router.submit(tune6, record(0, "tune 6x6"));
+  fleet.router.submit(tune7, record(1, "tune 7x7"));
+  fleet.router.submit(hit, record(2, "hit"));
+  for (auto& f : futs) EXPECT_EQ(f.get().status, kOk);
+
+  ASSERT_EQ(order.size(), 3u);
+  EXPECT_EQ(order.front(), "hit") << "answered after " << order[1] << " and "
+                                  << order[2];
 }
 
 TEST(ServeDist, FleetMetricsMergeCountersAndHistograms) {

@@ -185,6 +185,22 @@ TEST(CacheKey, CompileKeyCoarserThanResultKeyAndDomainSeparated) {
   EXPECT_NE(make_compile_key(d), make_compile_key(a));
 }
 
+TEST(CacheKey, FingerprintOverloadsAgreeWithSamplingOnes) {
+  for (const RequestKind kind :
+       {RequestKind::kCostEval, RequestKind::kLegality, RequestKind::kTune}) {
+    Request req = editdist_cost_request(8, 8);
+    req.kind = kind;
+    const CacheKey fp = spec_fingerprint(*req.spec);
+    EXPECT_EQ(make_cache_key(req, fp), make_cache_key(req));
+    EXPECT_EQ(make_compile_key(req, fp), make_compile_key(req));
+  }
+  // The fingerprint belongs to the spec's content, not the object.
+  EXPECT_EQ(spec_fingerprint(*shared_editdist(8)),
+            spec_fingerprint(*shared_editdist(8)));
+  EXPECT_NE(spec_fingerprint(*shared_editdist(8)),
+            spec_fingerprint(*shared_editdist(9)));
+}
+
 TEST(CacheKey, StableAcrossIndependentSpecBuilds) {
   Request a = editdist_cost_request(8, 8);
   Request b = editdist_cost_request(8, 8);
@@ -530,9 +546,11 @@ TEST(Service, DeadlineCutTuneReturnsLegalMappingBeforeDeadline) {
   ServiceConfig cfg;
   cfg.num_workers = 2;
   // The margin must absorb the candidates already in flight when the
-  // cutoff fires plus the winner's verify/lint pass on the 64x64 domain
-  // -- both ~10x dearer under a sanitizer, hence the generous slice.
-  cfg.deadline_margin = 60ms * kTimeScale;
+  // cutoff fires plus the winner's verify/lint pass and ExecChecker
+  // replay on the 64x64 domain -- all ~10x dearer under a sanitizer,
+  // hence the generous slice (at 60ms the ASan build overran the
+  // deadline in about half its runs).
+  cfg.deadline_margin = 90ms * kTimeScale;
   Service svc(cfg);
 
   // A big search space (13 x 13 x 9 x 9 slots, each paying a
@@ -791,6 +809,43 @@ TEST(Service, BatchedDuplicatesExecuteOnceAndAllWaitersAnswered) {
   const CacheStats st = svc.cache_stats();
   EXPECT_GE(hits + st.hits, 1u);
   EXPECT_EQ(svc.metrics().completed, 12u);
+}
+
+TEST(Service, SpecFingerprintMemoForgetsASpecWhoseOwnerIsGone) {
+  // One FunctionSpec slot, owned in turn by two unrelated aliasing
+  // owners: A's owner goes away and a different spec is assigned into
+  // the same address.  A memo keyed by address alone would hand the new
+  // spec A's fingerprint and serve A's sentinel.
+  Service svc({.num_workers = 1});
+  const algos::SwScores scores;
+  auto slot =
+      std::make_shared<fm::FunctionSpec>(algos::editdist_spec(8, 8, scores));
+  Request a = editdist_cost_request(8, 8);
+  a.spec = std::shared_ptr<const fm::FunctionSpec>(std::make_shared<int>(0),
+                                                   slot.get());
+  Response sentinel;
+  sentinel.cost.makespan_cycles = 987654321;
+  svc.warm(a, sentinel);
+  const Response warm = svc.call(a);
+  ASSERT_TRUE(warm.cache_hit);
+  ASSERT_EQ(warm.cost.makespan_cycles, sentinel.cost.makespan_cycles);
+
+  Request b = a;
+  a.spec.reset();
+  b.spec.reset();  // A's owner is gone
+  *slot = algos::editdist_spec(8, 7, scores);
+  b.spec = std::shared_ptr<const fm::FunctionSpec>(std::make_shared<int>(1),
+                                                   slot.get());
+
+  const Response got = svc.call(b);
+  ASSERT_TRUE(got.ok()) << got.error;
+  EXPECT_FALSE(got.cache_hit);
+  Service fresh({.num_workers = 1});
+  const Response want = fresh.call(b);
+  ASSERT_TRUE(want.ok()) << want.error;
+  EXPECT_EQ(got.cost.makespan_cycles, want.cost.makespan_cycles);
+  EXPECT_EQ(got.cost.total_energy().femtojoules(),
+            want.cost.total_energy().femtojoules());
 }
 
 // --- metrics export ---

@@ -8,13 +8,15 @@
 //   * truncated frames throw WireError instead of reading past the end;
 //   * routing_key() covers the semantic fields and *excludes* the QoS
 //     fields, so a deadline change never migrates a key off its warm
-//     shard;
+//     shard — and the router's key from the encoded body equals the key
+//     from the request;
 //   * the router's spec rebuild and the shard's spec rebuild agree on
 //     make_cache_key bit for bit — the property that lets a shard's
 //     result cache serve a key the router hashed.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -235,6 +237,40 @@ TEST(RoutingKey, CoversSemanticFields) {
   WireRequest other_kind = base;
   other_kind.kind = RequestKind::kCostEval;
   EXPECT_NE(routing_key(other_kind), key);
+}
+
+TEST(RoutingKey, EncodedBodyAgreesWithRequestForEveryKindAndFamily) {
+  for (const char* spec : {"editdist:6x5", "stencil:16,4", "conv:24,3",
+                           "matmul:4", "irregular:12,3,7"}) {
+    for (const RequestKind kind :
+         {RequestKind::kCostEval, RequestKind::kLegality, RequestKind::kTune,
+          RequestKind::kPipelineTune}) {
+      WireRequest req = sample_request();  // nonzero deadline and workers
+      req.spec = spec;
+      req.kind = kind;
+      std::vector<std::uint8_t> body = encoded(req);
+      EXPECT_EQ(routing_key(body), routing_key(req)) << spec;
+
+      // Zeroing the QoS tail in place is the canonical encoding: the
+      // bytes a shard's snapshot log keeps.
+      WireRequest patient = req;
+      patient.deadline_ns = 0;
+      patient.tune_workers = 0;
+      std::fill(body.end() - kRequestQosBytes, body.end(), 0);
+      EXPECT_EQ(body, encoded(patient)) << spec;
+      EXPECT_EQ(routing_key(body), routing_key(req)) << spec;
+    }
+  }
+}
+
+TEST(RoutingKey, BodyShorterThanQoSTailThrows) {
+  for (std::size_t len = 0; len < kRequestQosBytes; ++len) {
+    const std::vector<std::uint8_t> body(len, 0xff);
+    EXPECT_THROW((void)routing_key(body), WireError) << "len=" << len;
+  }
+  const std::vector<std::uint8_t> tail_only(kRequestQosBytes, 0xff);
+  EXPECT_EQ(routing_key(tail_only),
+            routing_key(std::vector<std::uint8_t>(kRequestQosBytes, 0)));
 }
 
 TEST(SemanticBytes, IgnoresDeliveryMetadataOnly) {
