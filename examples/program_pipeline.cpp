@@ -1,136 +1,85 @@
-// program_pipeline — modular composition on the grid machine: a
-// three-stage program (2-D stencil -> 2-D stencil -> 1-D reduction
-// sweep) with one aligned joint and one remap joint, every stage
-// verified before it runs, every joint priced.
+// program_pipeline — modular composition on the grid machine: tune a
+// three-stage chain (FFT pass -> bit-reverse shuffle -> FFT pass) with
+// the greedy and the co-optimizing paired tuner, then execute each
+// committed chain with fm::execute_pipeline.  Every stage is verified
+// against the input homes its producers' winners fix, runs on the
+// GridMachine, and feeds its outputs to the next stage; the executed
+// ledger is printed beside the cost the tuner priced, and the chain's
+// output is checked against a host evaluation of the composed function.
 //
-//   $ ./program_pipeline [rows] [cols]
+//   $ ./program_pipeline [n]      (n a power of two >= 4; default 16)
 #include <cstdlib>
 #include <iostream>
+#include <string>
+#include <vector>
 
-#include "algos/specs.hpp"
-#include "fm/default_mapper.hpp"
-#include "fm/program.hpp"
+#include "algos/pipelines.hpp"
+#include "fm/pipeline.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
 
 using namespace harmony;
 
-namespace {
-
-/// Stage 3's function: row sums of the field via a rank-2 recurrence
-/// s(i,k) = s(i,k-1) + row_i[k].
-fm::FunctionSpec rowsum_spec(std::int64_t rows, std::int64_t cols,
-                             fm::TensorId* in_id, fm::TensorId* out_id) {
-  fm::FunctionSpec spec;
-  const fm::TensorId in =
-      spec.add_input("field", fm::IndexDomain(rows, cols), 32);
-  const fm::TensorId s = spec.add_computed(
-      "rowsum", fm::IndexDomain(rows, cols),
-      [in](const fm::Point& p) {
-        std::vector<fm::ValueRef> deps{{in, fm::Point{p.i, p.j}}};
-        if (p.j > 0) deps.push_back({in + 1, fm::Point{p.i, p.j - 1}});
-        return deps;
-      },
-      [](const fm::Point& p, const std::vector<double>& v) {
-        return p.j > 0 ? v[0] + v[1] : v[0];
-      },
-      fm::OpCost{.ops = 1.0, .bits = 32});
-  spec.mark_output(s);
-  if (in_id != nullptr) *in_id = in;
-  if (out_id != nullptr) *out_id = s;
-  return spec;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  std::int64_t rows = 12;
-  std::int64_t cols = 12;
-  if (argc > 1) rows = std::atoll(argv[1]);
-  if (argc > 2) cols = std::atoll(argv[2]);
-  if (rows < 2 || cols < 2) {
-    std::cerr << "usage: " << argv[0] << " [rows>=2] [cols>=2]\n";
+  std::int64_t n = 16;
+  if (argc > 1) n = std::atoll(argv[1]);
+  if (n < 4 || (n & (n - 1)) != 0) {
+    std::cerr << "usage: " << argv[0] << " [n: power of two >= 4]\n";
     return 2;
   }
-  const std::int64_t t1 = 4;
-  const std::int64_t t2 = 3;
 
-  const fm::MachineConfig cfg = fm::make_machine(4, 4);
-  const auto stage1 = algos::stencil2d_spec(rows, cols, t1);
-  const auto stage2 = algos::stencil2d_spec(rows, cols, t2);
-  fm::TensorId rs_in;
-  fm::TensorId rs_out;
-  const auto stage3 = rowsum_spec(rows, cols, &rs_in, &rs_out);
-
-  const fm::Mapping m1 = fm::default_mapping(stage1, cfg);
-  const fm::Mapping m2 = fm::default_mapping(stage2, cfg);
-  const fm::Mapping m3 = fm::default_mapping(stage3, cfg);
-
-  const fm::IndexDomain field(rows, cols);
-  auto slice_last = [rows, cols](std::int64_t t) {
-    return [rows, cols, t](const std::vector<std::vector<double>>& outs) {
-      std::vector<double> last(
-          outs[0].begin() + static_cast<std::ptrdiff_t>(t * rows * cols),
-          outs[0].begin() +
-              static_cast<std::ptrdiff_t>((t + 1) * rows * cols));
-      return std::vector<std::vector<double>>{std::move(last)};
-    };
-  };
-
-  fm::Joint j12;
-  j12.adapt = slice_last(t1);
-  j12.domain = field;
-  j12.produced = fm::block_distribution(field, cfg.geom);
-  j12.consumed = fm::block_distribution(field, cfg.geom);  // aligned
-
-  fm::Joint j23;
-  j23.adapt = slice_last(t2);
-  j23.domain = field;
-  j23.produced = fm::block_distribution(field, cfg.geom);
-  j23.consumed = fm::cyclic_distribution(field, cfg.geom);  // remap!
+  // Two rows: on one row every spread layout mirrors every other and the
+  // two tuners tie (bench E24.a).
+  const fm::MachineConfig cfg = fm::make_machine(4, 2);
+  const fm::Pipeline pipe = algos::fft_shuffle_fft_pipeline(n);
 
   Rng rng(1);
-  std::vector<double> u0(static_cast<std::size_t>(rows * cols));
-  for (auto& v : u0) v = rng.next_double(0, 1);
+  std::vector<double> x(static_cast<std::size_t>(n));
+  for (double& v : x) v = rng.next_double(-1, 1);
 
-  const fm::ProgramResult res = fm::run_program(
-      {{"stencilA", &stage1, &m1},
-       {"stencilB", &stage2, &m2},
-       {"rowsum", &stage3, &m3}},
-      {j12, j23}, cfg, {u0});
+  // Host reference: each stage evaluated directly on its producer's
+  // reference output, no mapping involved.
+  std::vector<double> expect = x;
+  for (std::size_t s = 0; s < pipe.size(); ++s) {
+    expect = pipe.stage(s).spec->evaluate_reference({expect}).front();
+  }
 
-  // Validate end to end on the host.
-  const auto field_ref = algos::stencil2d_reference(
-      algos::stencil2d_reference(u0, rows, cols, t1), rows, cols, t2);
   bool ok = true;
-  for (std::int64_t i = 0; i < rows; ++i) {
-    double acc = 0.0;
-    for (std::int64_t k = 0; k < cols; ++k) {
-      acc += field_ref[static_cast<std::size_t>(i * cols + k)];
-      const double got =
-          res.outputs[0][static_cast<std::size_t>(i * cols + k)];
-      if (std::abs(got - acc) > 1e-9) ok = false;
+  for (const bool paired : {false, true}) {
+    const fm::PipelineOptions opts;
+    const fm::PipelineResult tuned =
+        paired ? fm::tune_pipeline_paired(pipe, cfg, opts)
+               : fm::tune_pipeline_greedy(pipe, cfg, opts);
+    const char* tuner = paired ? "paired" : "greedy";
+    if (!tuned.found) {
+      std::cerr << tuner << ": no legal mapping for every stage\n";
+      return 1;
     }
-  }
+    const std::vector<fm::ExecutionResult> run =
+        fm::execute_pipeline(pipe, tuned, opts.strategy, cfg, {x});
 
-  Table t({"stage", "cycles", "energy_nJ"});
-  t.title("three-stage program on a 4x4 grid");
-  for (std::size_t s = 0; s < res.per_stage.size(); ++s) {
-    t.add_row({std::string(s == 0 ? "stencilA" : s == 1 ? "stencilB"
-                                                        : "rowsum"),
-               res.per_stage[s].makespan_cycles,
-               res.per_stage[s].total_energy().nanojoules()});
+    Table t({"stage", "tuned_cycles", "run_cycles", "tuned_nJ", "run_nJ",
+             "messages"});
+    t.title(std::string(tuner) + " chain on a 4x2 grid, n=" +
+            std::to_string(n));
+    for (std::size_t s = 0; s < pipe.size(); ++s) {
+      const fm::CostReport& c = tuned.stages[s].cost;
+      t.add_row({pipe.stage(s).name, c.makespan_cycles,
+                 run[s].makespan_cycles, c.total_energy().nanojoules(),
+                 run[s].total_energy().nanojoules(),
+                 static_cast<std::int64_t>(run[s].messages)});
+      ok = ok && run[s].makespan_cycles == c.makespan_cycles &&
+           run[s].messages == c.messages;
+    }
+    t.print(std::cout);
+    const bool matches = run.back().outputs.front() == expect;
+    ok = ok && matches;
+    std::cout << tuner << " chain: critical path "
+              << tuned.total.makespan_cycles << " cycles, "
+              << tuned.total.total_energy().nanojoules()
+              << " nJ, merit " << tuned.merit
+              << "; output vs host reference: "
+              << (matches ? "MATCHES" : "MISMATCH") << "\n\n";
   }
-  t.print(std::cout);
-  std::cout << "joints: stencilA->stencilB "
-            << (res.joint_aligned[0] ? "aligned (free)" : "remapped")
-            << "; stencilB->rowsum "
-            << (res.joint_aligned[1] ? "aligned (free)" : "remapped")
-            << " (" << res.remap_messages << " remap messages, "
-            << res.remap_energy.nanojoules() << " nJ)\n";
-  std::cout << "program total: " << res.total_cycles << " cycles, "
-            << res.total_energy.nanojoules() << " nJ\n";
-  std::cout << "end-to-end check vs host reference: "
-            << (ok ? "MATCHES" : "MISMATCH") << "\n";
   return ok ? 0 : 1;
 }

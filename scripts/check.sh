@@ -7,12 +7,15 @@
 #      runs, including --check-exec on one affine and one TableMap
 #      fixture and one --pipeline chain (tune + per-stage ExecChecker
 #      certification against producer-substituted input homes);
-#   3. ASan/UBSan build running the serve + analyze + support tests (the
+#   3. ASan/UBSan build running the serve + analyze + support tests and
+#      the compiled-evaluation, strategy and pipeline fm tests (the
 #      concurrent subsystem and the shadow-memory detector are where
 #      lifetime bugs would live; support_test exercises the Rng
 #      full-domain ranges whose old arithmetic was signed-overflow UB;
 #      the serve_dist tests cover the router/worker wire path, where a
-#      bounds bug in frame decoding would be a heap overread);
+#      bounds bug in frame decoding would be a heap overread; the fm
+#      parity sweeps index the compiled legality pass and the pipeline
+#      executor, where an off-by-one would read out of bounds);
 #   4. TSan build running the tier1 + serve + serve_dist + analyze +
 #      trace + fm_search + fm_strategy + fm_pipeline labels — the whole
 #      correctness suite
@@ -82,13 +85,15 @@ run_analyze() {
 }
 
 run_asan() {
-  echo "== ASan/UBSan: serve + analyze + support tests ==" &&
+  echo "== ASan/UBSan: serve + analyze + support + fm tests ==" &&
   cmake -B build-asan -S . -DHARMONY_ASAN=ON &&
   cmake --build build-asan -j --target serve_test serve_ring_test \
     serve_wire_test serve_dist_test serve_stress_test \
     analyze_race_test analyze_lint_test analyze_exec_test \
-    analyze_witness_test support_test &&
-  ctest --test-dir build-asan --output-on-failure -R "serve|analyze|support"
+    analyze_witness_test support_test fm_compiled_test fm_strategy_test \
+    fm_pipeline_test &&
+  ctest --test-dir build-asan --output-on-failure \
+    -R "serve|analyze|support|fm_compiled|fm_strategy|fm_pipeline"
 }
 
 run_tsan() {

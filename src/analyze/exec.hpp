@@ -47,10 +47,10 @@
 // the intended axiom fires (tests/analyze_exec_test.cpp).
 //
 // Wired three ways: `harmony-lint --check-exec` replays a (spec,
-// machine, mapping) triple; serve validates tune winners post-hoc
-// (ServiceConfig::check_exec, on by default — the check costs <5% of
-// the tune it guards); and the searchers' winners are certified in
-// tests across fixtures, drivers, and worker counts.  DESIGN.md §14.
+// machine, mapping) triple; serve validates every tune winner post-hoc
+// (1% to 12% of the tune it guards, by tune size — DESIGN.md §14); and
+// the searchers' winners are certified in tests across fixtures,
+// drivers, and worker counts.  DESIGN.md §14.
 #pragma once
 
 #include <cstdint>

@@ -166,9 +166,9 @@ namespace {
 // The per-candidate oracles are written once against a *map view* —
 // time/place per linearized target point plus the input-value home —
 // and instantiated for the AffineMap (closed-form, ignores lin) and the
-// TableMap (array lookup, ignores the point).  The template bodies are
-// the previous AffineMap-only implementations verbatim, so the
-// bit-identical-to-legacy pin carries over to both instantiations.
+// TableMap (array lookup, ignores the point).  One template body serves
+// both views, so the bit-identical-to-legacy pin covers both
+// instantiations.
 struct AffineView {
   const CompiledSpec& cs;
   const AffineMap& map;
@@ -264,25 +264,40 @@ CostReport evaluate_cost_impl(const CompiledSpec& cs, const View& view,
   return rep;
 }
 
-template <typename View>
-LegalityReport verify_impl(const CompiledSpec& cs, const View& view,
-                           EvalContext& ctx, const VerifyOptions& opts) {
+// The legality pass, written once with a compile-time reporting policy;
+// it returns whether the mapping is legal.  kReport (verify) counts
+// every violation, formats a diagnostic only while fewer than
+// max_messages are kept, and tracks the storage and link peaks in
+// `*rep`.  Otherwise (verify_ok) the pass returns false at the first
+// violation: no diagnostics, no peak bookkeeping, no report.
+template <bool kReport, typename View>
+bool legality_pass(const CompiledSpec& cs, const View& view,
+                   EvalContext& ctx, const VerifyOptions& opts,
+                   LegalityReport* rep) {
   ctx.begin_candidate();
-  LegalityReport rep;
   const std::size_t P = cs.num_pes;
   const auto bits = static_cast<std::uint64_t>(cs.bits);
 
+  // Every violation goes through fail(); false means stop the pass.
+  // `format(os)` writes the message and returns its Location, and runs
+  // only for a diagnostic that is kept.
+  const auto fail = [&](std::uint64_t LegalityReport::*counter,
+                        const char* rule_id, const auto& format) {
+    if constexpr (kReport) {
+      ++(rep->*counter);
+      if (rep->diagnostics.size() < opts.max_messages) {
+        std::ostringstream os;
+        analyze::Location loc = format(os);
+        rep->diagnostics.push_back(
+            analyze::make_diagnostic(rule_id, std::move(loc), os.str()));
+      }
+    }
+    return kReport;
+  };
   const auto element = [&](TensorId t, const Point& p) {
     std::ostringstream os;
     os << cs.tensor_names[static_cast<std::size_t>(t)] << p;
     return os.str();
-  };
-  const auto add_diag = [&](const char* rule_id, analyze::Location loc,
-                            const std::string& msg) {
-    if (rep.diagnostics.size() < opts.max_messages) {
-      rep.diagnostics.push_back(
-          analyze::make_diagnostic(rule_id, std::move(loc), msg));
-    }
   };
   const auto record_route = [&](std::size_t src, std::size_t dst) {
     if (!opts.check_bandwidth || src == dst) return;
@@ -295,117 +310,117 @@ LegalityReport verify_impl(const CompiledSpec& cs, const View& view,
 
   // ---- 1. causality & transit, plus per-edge link traffic ------------
   // ---- 2. exclusivity: collect (pe, cycle) of every element ----------
+  // The same sweep fills the storage check's def/last-use ledger: as in
+  // legality.cpp, restricted to the target tensor's values (inputs live
+  // off-ledger), and negative-time elements are skipped by def_time.
   ctx.slots.clear();
   ctx.link_bits.assign(opts.check_bandwidth ? P * 4 : 0, 0);
   Cycle makespan = 0;
+  const bool storage = opts.check_storage;
+  const auto total = static_cast<std::size_t>(cs.num_points);
+  if (storage) {
+    ctx.def_time.resize(total);
+    ctx.last_use.assign(total, -1);
+    ctx.owner_pe.resize(total);
+  }
 
-  std::int64_t lin = 0;
-  cs.domain.for_each([&](const Point& p) {
-    const auto v = static_cast<std::size_t>(lin);
-    const std::uint64_t lo = cs.dep_offsets[v];
-    const std::uint64_t hi = cs.dep_offsets[v + 1];
-    ++lin;
-    const Cycle when = view.time(v, p);
-    const std::size_t here = view.pe(v, p);
-    const auto here_pe = static_cast<std::int32_t>(here);
-    if (when < 0) {
-      ++rep.causality_violations;
-      std::ostringstream os;
-      os << element(cs.target, p) << " scheduled at negative cycle " << when;
-      add_diag("FM001", analyze::Location{element(cs.target, p), here_pe, when},
-               os.str());
-      return;
-    }
-    makespan = std::max(makespan, when + 1);
-    HARMONY_REQUIRE(when < (Cycle{1} << 40),
-                    "verify: schedule exceeds 2^40 cycles");
-    ctx.slots.push_back((static_cast<std::uint64_t>(here) << 40) |
-                        static_cast<std::uint64_t>(when));
+  const std::int64_t ni = cs.domain.extent(0);
+  const std::int64_t nj = cs.domain.extent(1);
+  const std::int64_t nk = cs.domain.extent(2);
+  std::size_t lin = 0;  // row-major, the order IndexDomain::for_each visits
+  for (std::int64_t i = 0; i < ni; ++i) {
+    for (std::int64_t j = 0; j < nj; ++j) {
+      for (std::int64_t k = 0; k < nk; ++k, ++lin) {
+        const Point p{i, j, k};
+        const Cycle when = view.time(lin, p);
+        if (storage) ctx.def_time[lin] = when;
+        if (when < 0) {
+          if (!fail(&LegalityReport::causality_violations, "FM001",
+                    [&](std::ostream& os) {
+                      os << element(cs.target, p)
+                         << " scheduled at negative cycle " << when;
+                      return analyze::Location{
+                          element(cs.target, p),
+                          static_cast<std::int32_t>(view.pe(lin, p)), when};
+                    })) {
+            return false;
+          }
+          continue;
+        }
+        makespan = std::max(makespan, when + 1);
+        HARMONY_REQUIRE(when < (Cycle{1} << 40),
+                        "verify: schedule exceeds 2^40 cycles");
+        const std::size_t here = view.pe(lin, p);
+        ctx.slots.push_back((static_cast<std::uint64_t>(here) << 40) |
+                            static_cast<std::uint64_t>(when));
+        if (storage) {
+          ctx.owner_pe[lin] = static_cast<std::int32_t>(here);
+          ctx.last_use[lin] = std::max(ctx.last_use[lin], when);
+        }
+        const auto late = [&](TensorId t, const Point& dp, Cycle need) {
+          return fail(&LegalityReport::causality_violations, "FM001",
+                      [&](std::ostream& os) {
+                        os << element(cs.target, p) << " at cycle " << when
+                           << " consumes " << element(t, dp)
+                           << " which arrives at cycle " << need;
+                        return analyze::Location{
+                            element(cs.target, p),
+                            static_cast<std::int32_t>(here), when};
+                      });
+        };
 
-    for (std::uint64_t o = lo; o < hi; ++o) {
-      const CompiledDep& d = cs.deps[o];
-      if (d.kind == CompiledDep::kComputed) {
-        const Point dp = d.point();
-        const auto dl = static_cast<std::size_t>(d.dep_lin);
-        const std::size_t there = view.pe(dl, dp);
-        const Cycle need = view.time(dl, dp) +
-                           std::max<Cycle>(1, cs.transit[there * P + here]);
-        if (when < need) {
-          ++rep.causality_violations;
-          std::ostringstream os;
-          os << element(cs.target, p) << " at cycle " << when << " consumes "
-             << element(d.tensor, dp) << " which arrives at cycle " << need;
-          add_diag("FM001",
-                   analyze::Location{element(cs.target, p), here_pe, when},
-                   os.str());
-        }
-        record_route(there, here);
-      } else {
-        const Cycle need =
-            d.kind == CompiledDep::kInputDram
-                ? cs.dram_cycles[here]
-                : cs.transit[static_cast<std::size_t>(view.home(d)) * P +
-                             here];
-        if (when < need) {
-          ++rep.causality_violations;
-          std::ostringstream os;
-          os << element(cs.target, p) << " at cycle " << when << " consumes "
-             << element(d.tensor, d.point()) << " which arrives at cycle "
-             << need;
-          add_diag("FM001",
-                   analyze::Location{element(cs.target, p), here_pe, when},
-                   os.str());
-        }
-        // Mirror of the cost model's input-residency rule: an input
-        // value is routed to a consumer PE once (DRAM homes excluded,
-        // as in legality.cpp).
-        if (d.kind == CompiledDep::kInputPe &&
-            ctx.first_delivery(d.input_ord, here)) {
-          record_route(static_cast<std::size_t>(view.home(d)), here);
+        for (std::uint64_t o = cs.dep_offsets[lin];
+             o < cs.dep_offsets[lin + 1]; ++o) {
+          const CompiledDep& d = cs.deps[o];
+          if (d.kind == CompiledDep::kComputed) {
+            const Point dp = d.point();
+            const auto dl = static_cast<std::size_t>(d.dep_lin);
+            const std::size_t there = view.pe(dl, dp);
+            const Cycle need = view.time(dl, dp) +
+                               std::max<Cycle>(1, cs.transit[there * P + here]);
+            if (when < need && !late(d.tensor, dp, need)) return false;
+            record_route(there, here);
+            if (storage) ctx.last_use[dl] = std::max(ctx.last_use[dl], when);
+          } else {
+            const Cycle need =
+                d.kind == CompiledDep::kInputDram
+                    ? cs.dram_cycles[here]
+                    : cs.transit[static_cast<std::size_t>(view.home(d)) * P +
+                                 here];
+            if (when < need && !late(d.tensor, d.point(), need)) {
+              return false;
+            }
+            // Mirror of the cost model's input-residency rule: an input
+            // value is routed to a consumer PE once (DRAM homes excluded,
+            // as in legality.cpp).
+            if (d.kind == CompiledDep::kInputPe &&
+                ctx.first_delivery(d.input_ord, here)) {
+              record_route(static_cast<std::size_t>(view.home(d)), here);
+            }
+          }
         }
       }
     }
-  });
+  }
 
   std::sort(ctx.slots.begin(), ctx.slots.end());
   for (std::size_t i = 1; i < ctx.slots.size(); ++i) {
-    if (ctx.slots[i] == ctx.slots[i - 1]) {
-      ++rep.exclusivity_violations;
-      const auto pe = static_cast<std::int32_t>(ctx.slots[i] >> 40);
-      const auto cycle = static_cast<Cycle>(
-          ctx.slots[i] & ((std::uint64_t{1} << 40) - 1));
-      std::ostringstream os;
-      os << "two elements share PE " << pe << " at cycle " << cycle;
-      add_diag("FM002", analyze::Location{"", pe, cycle}, os.str());
+    if (ctx.slots[i] == ctx.slots[i - 1] &&
+        !fail(&LegalityReport::exclusivity_violations, "FM002",
+              [&](std::ostream& os) {
+                const auto pe = static_cast<std::int32_t>(ctx.slots[i] >> 40);
+                const auto cycle = static_cast<Cycle>(
+                    ctx.slots[i] & ((std::uint64_t{1} << 40) - 1));
+                os << "two elements share PE " << pe << " at cycle "
+                   << cycle;
+                return analyze::Location{"", pe, cycle};
+              })) {
+      return false;
     }
   }
 
   // ---- 3. storage: peak live values per PE ---------------------------
-  if (opts.check_storage) {
-    // Same def/last-use sweep as legality.cpp, restricted to the target
-    // tensor's value range (the only computed values; inputs live
-    // off-ledger there too, via the def_time < 0 skip).
-    const auto total = static_cast<std::size_t>(cs.num_points);
-    ctx.def_time.resize(total);
-    ctx.last_use.assign(total, -1);
-    ctx.owner_pe.resize(total);
-
-    std::int64_t slin = 0;
-    cs.domain.for_each([&](const Point& p) {
-      const auto vi = static_cast<std::size_t>(slin);
-      const std::uint64_t lo = cs.dep_offsets[vi];
-      const std::uint64_t hi = cs.dep_offsets[vi + 1];
-      ++slin;
-      ctx.def_time[vi] = view.time(vi, p);
-      ctx.last_use[vi] = std::max(ctx.last_use[vi], ctx.def_time[vi]);
-      ctx.owner_pe[vi] = static_cast<std::int32_t>(view.pe(vi, p));
-      for (std::uint64_t o = lo; o < hi; ++o) {
-        const CompiledDep& d = cs.deps[o];
-        if (d.kind != CompiledDep::kComputed) continue;  // off-ledger
-        const auto di = static_cast<std::size_t>(d.dep_lin);
-        ctx.last_use[di] = std::max(ctx.last_use[di], ctx.def_time[vi]);
-      }
-    });
+  if (storage) {
     // Outputs stay live until the end of the computation.
     if (cs.target_is_output) {
       for (std::size_t v = 0; v < total; ++v) ctx.last_use[v] = makespan;
@@ -435,17 +450,23 @@ LegalityReport verify_impl(const CompiledSpec& cs, const View& view,
         flagged_this_pe = false;
       }
       live += e.delta;
-      if (live > rep.peak_live_values) {
-        rep.peak_live_values = live;
-        rep.peak_live_pe = e.pe;
+      if constexpr (kReport) {
+        if (live > rep->peak_live_values) {
+          rep->peak_live_values = live;
+          rep->peak_live_pe = e.pe;
+        }
       }
       if (live > cs.pe_capacity_values && !flagged_this_pe) {
-        ++rep.storage_violations;
         flagged_this_pe = true;
-        std::ostringstream os;
-        os << "PE " << e.pe << " holds " << live << " live values at cycle "
-           << e.cycle << " (capacity " << cs.pe_capacity_values << ")";
-        add_diag("FM003", analyze::Location{"", e.pe, e.cycle}, os.str());
+        if (!fail(&LegalityReport::storage_violations, "FM003",
+                  [&](std::ostream& os) {
+                    os << "PE " << e.pe << " holds " << live
+                       << " live values at cycle " << e.cycle
+                       << " (capacity " << cs.pe_capacity_values << ")";
+                    return analyze::Location{"", e.pe, e.cycle};
+                  })) {
+          return false;
+        }
       }
     }
   }
@@ -455,165 +476,27 @@ LegalityReport verify_impl(const CompiledSpec& cs, const View& view,
     for (std::size_t l = 0; l < ctx.link_bits.size(); ++l) {
       const double rate = static_cast<double>(ctx.link_bits[l]) /
                           static_cast<double>(makespan);
-      if (rate > rep.peak_link_bits_per_cycle) {
-        rep.peak_link_bits_per_cycle = rate;
-        rep.peak_link = static_cast<std::int64_t>(l);
-      }
-      if (rate > cs.link_bits_per_cycle) {
-        ++rep.bandwidth_violations;
-        std::ostringstream os;
-        os << "directed link " << l << " carries " << rate
-           << " bits/cycle on average (capacity " << cs.link_bits_per_cycle
-           << ")";
-        add_diag("FM004",
-                 analyze::Location{"link " + std::to_string(l),
-                                   static_cast<std::int32_t>(l / 4),
-                                   analyze::Location::kNoCycle},
-                 os.str());
-      }
-    }
-  }
-
-  rep.ok = rep.total_violations() == 0;
-  return rep;
-}
-
-template <typename View>
-bool verify_ok_impl(const CompiledSpec& cs, const View& view,
-                    EvalContext& ctx, const VerifyOptions& opts) {
-  ctx.begin_candidate();
-  const std::size_t P = cs.num_pes;
-  const auto bits = static_cast<std::uint64_t>(cs.bits);
-
-  const auto record_route = [&](std::size_t src, std::size_t dst) {
-    if (!opts.check_bandwidth || src == dst) return;
-    const std::size_t r = src * P + dst;
-    for (std::uint32_t o = cs.route_offsets[r]; o < cs.route_offsets[r + 1];
-         ++o) {
-      ctx.link_bits[cs.route_links[o]] += bits;
-    }
-  };
-
-  // ---- 1. causality (first violation exits); collects the slots and
-  // link traffic the later checks consume, exactly as verify() does ----
-  ctx.slots.clear();
-  ctx.link_bits.assign(opts.check_bandwidth ? P * 4 : 0, 0);
-  Cycle makespan = 0;
-
-  const std::int64_t ni = cs.domain.extent(0);
-  const std::int64_t nj = cs.domain.extent(1);
-  const std::int64_t nk = cs.domain.extent(2);
-  std::size_t lin = 0;
-  for (std::int64_t i = 0; i < ni; ++i) {
-    for (std::int64_t j = 0; j < nj; ++j) {
-      for (std::int64_t k = 0; k < nk; ++k) {
-        const Point p{i, j, k};
-        const std::uint64_t lo = cs.dep_offsets[lin];
-        const std::uint64_t hi = cs.dep_offsets[lin + 1];
-        const std::size_t v = lin;
-        ++lin;
-        const Cycle when = view.time(v, p);
-        if (when < 0) return false;
-        makespan = std::max(makespan, when + 1);
-        HARMONY_REQUIRE(when < (Cycle{1} << 40),
-                        "verify: schedule exceeds 2^40 cycles");
-        const std::size_t here = view.pe(v, p);
-        ctx.slots.push_back((static_cast<std::uint64_t>(here) << 40) |
-                            static_cast<std::uint64_t>(when));
-        for (std::uint64_t o = lo; o < hi; ++o) {
-          const CompiledDep& d = cs.deps[o];
-          if (d.kind == CompiledDep::kComputed) {
-            const Point dp = d.point();
-            const auto dl = static_cast<std::size_t>(d.dep_lin);
-            const std::size_t there = view.pe(dl, dp);
-            const Cycle need = view.time(dl, dp) +
-                std::max<Cycle>(1, cs.transit[there * P + here]);
-            if (when < need) return false;
-            record_route(there, here);
-          } else {
-            const Cycle need =
-                d.kind == CompiledDep::kInputDram
-                    ? cs.dram_cycles[here]
-                    : cs.transit[static_cast<std::size_t>(view.home(d)) * P +
-                                 here];
-            if (when < need) return false;
-            if (d.kind == CompiledDep::kInputPe &&
-                ctx.first_delivery(d.input_ord, here)) {
-              record_route(static_cast<std::size_t>(view.home(d)), here);
-            }
-          }
+      if constexpr (kReport) {
+        if (rate > rep->peak_link_bits_per_cycle) {
+          rep->peak_link_bits_per_cycle = rate;
+          rep->peak_link = static_cast<std::int64_t>(l);
         }
       }
-    }
-  }
-
-  // ---- 2. exclusivity ------------------------------------------------
-  std::sort(ctx.slots.begin(), ctx.slots.end());
-  for (std::size_t i = 1; i < ctx.slots.size(); ++i) {
-    if (ctx.slots[i] == ctx.slots[i - 1]) return false;
-  }
-
-  // ---- 3. storage ----------------------------------------------------
-  if (opts.check_storage) {
-    const auto total = static_cast<std::size_t>(cs.num_points);
-    ctx.def_time.resize(total);
-    ctx.last_use.assign(total, -1);
-    ctx.owner_pe.resize(total);
-
-    std::int64_t slin = 0;
-    cs.domain.for_each([&](const Point& p) {
-      const auto vi = static_cast<std::size_t>(slin);
-      const std::uint64_t lo = cs.dep_offsets[vi];
-      const std::uint64_t hi = cs.dep_offsets[vi + 1];
-      ++slin;
-      ctx.def_time[vi] = view.time(vi, p);
-      ctx.last_use[vi] = std::max(ctx.last_use[vi], ctx.def_time[vi]);
-      ctx.owner_pe[vi] = static_cast<std::int32_t>(view.pe(vi, p));
-      for (std::uint64_t o = lo; o < hi; ++o) {
-        const CompiledDep& d = cs.deps[o];
-        if (d.kind != CompiledDep::kComputed) continue;
-        const auto di = static_cast<std::size_t>(d.dep_lin);
-        ctx.last_use[di] = std::max(ctx.last_use[di], ctx.def_time[vi]);
-      }
-    });
-    if (cs.target_is_output) {
-      for (std::size_t v = 0; v < total; ++v) ctx.last_use[v] = makespan;
-    }
-
-    ctx.events.clear();
-    ctx.events.reserve(total * 2);
-    for (std::size_t v = 0; v < total; ++v) {
-      ctx.events.push_back({ctx.owner_pe[v], ctx.def_time[v], +1});
-      ctx.events.push_back({ctx.owner_pe[v], ctx.last_use[v] + 1, -1});
-    }
-    std::sort(ctx.events.begin(), ctx.events.end(),
-              [](const EvalContext::StorageEvent& a,
-                 const EvalContext::StorageEvent& b) {
-                if (a.pe != b.pe) return a.pe < b.pe;
-                if (a.cycle != b.cycle) return a.cycle < b.cycle;
-                return a.delta < b.delta;
-              });
-    std::int64_t live = 0;
-    std::int32_t cur_pe = -1;
-    for (const EvalContext::StorageEvent& e : ctx.events) {
-      if (e.pe != cur_pe) {
-        cur_pe = e.pe;
-        live = 0;
-      }
-      live += e.delta;
-      if (live > cs.pe_capacity_values) return false;
-    }
-  }
-
-  // ---- 4. bandwidth --------------------------------------------------
-  if (opts.check_bandwidth && makespan > 0) {
-    for (const std::uint64_t lb : ctx.link_bits) {
-      if (static_cast<double>(lb) / static_cast<double>(makespan) >
-          cs.link_bits_per_cycle) {
+      if (rate > cs.link_bits_per_cycle &&
+          !fail(&LegalityReport::bandwidth_violations, "FM004",
+                [&](std::ostream& os) {
+                  os << "directed link " << l << " carries " << rate
+                     << " bits/cycle on average (capacity "
+                     << cs.link_bits_per_cycle << ")";
+                  return analyze::Location{"link " + std::to_string(l),
+                                           static_cast<std::int32_t>(l / 4),
+                                           analyze::Location::kNoCycle};
+                })) {
         return false;
       }
     }
   }
+  if constexpr (kReport) return rep->total_violations() == 0;
   return true;
 }
 
@@ -626,12 +509,14 @@ CostReport evaluate_cost(const CompiledSpec& cs, const AffineMap& map,
 
 LegalityReport verify(const CompiledSpec& cs, const AffineMap& map,
                       EvalContext& ctx, const VerifyOptions& opts) {
-  return verify_impl(cs, AffineView{cs, map}, ctx, opts);
+  LegalityReport rep;
+  rep.ok = legality_pass<true>(cs, AffineView{cs, map}, ctx, opts, &rep);
+  return rep;
 }
 
 bool verify_ok(const CompiledSpec& cs, const AffineMap& map,
                EvalContext& ctx, const VerifyOptions& opts) {
-  return verify_ok_impl(cs, AffineView{cs, map}, ctx, opts);
+  return legality_pass<false>(cs, AffineView{cs, map}, ctx, opts, nullptr);
 }
 
 CostReport evaluate_cost(const CompiledSpec& cs, const TableMap& tm,
@@ -641,12 +526,14 @@ CostReport evaluate_cost(const CompiledSpec& cs, const TableMap& tm,
 
 LegalityReport verify(const CompiledSpec& cs, const TableMap& tm,
                       EvalContext& ctx, const VerifyOptions& opts) {
-  return verify_impl(cs, table_view(cs, tm), ctx, opts);
+  LegalityReport rep;
+  rep.ok = legality_pass<true>(cs, table_view(cs, tm), ctx, opts, &rep);
+  return rep;
 }
 
 bool verify_ok(const CompiledSpec& cs, const TableMap& tm,
                EvalContext& ctx, const VerifyOptions& opts) {
-  return verify_ok_impl(cs, table_view(cs, tm), ctx, opts);
+  return legality_pass<false>(cs, table_view(cs, tm), ctx, opts, nullptr);
 }
 
 }  // namespace harmony::fm

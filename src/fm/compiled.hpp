@@ -243,9 +243,9 @@ class EvalContextPool {
                                     const AffineMap& map, EvalContext& ctx,
                                     const VerifyOptions& opts = {});
 
-/// verify(...).ok without the report: short-circuits at the first
-/// violation of any enabled check and builds no diagnostics, which is
-/// what the search inner loop wants — rejected candidates are the
+/// verify(...).ok without the report: the same legality pass, stopped at
+/// the first violation of any enabled check, with no diagnostics.  That
+/// is what the search inner loop wants — rejected candidates are the
 /// common case there and their reports were discarded unread.  Honors
 /// opts.check_storage / check_bandwidth exactly as verify() does;
 /// always agrees with verify(...).ok on the same (cs, map, opts).

@@ -10,15 +10,19 @@ namespace harmony::fm {
 
 namespace {
 
-using analyze::Diagnostic;
 using analyze::Location;
 
+/// Keeps a diagnostic while fewer than max_messages are kept; past the
+/// cap the caller's counters keep counting but no message is built.
+/// `format(os)` writes the message and returns its Location.
+template <typename Format>
 void add_diag(LegalityReport& rep, const VerifyOptions& opts,
-              const char* rule_id, Location loc, const std::string& msg) {
-  if (rep.diagnostics.size() < opts.max_messages) {
-    rep.diagnostics.push_back(
-        analyze::make_diagnostic(rule_id, std::move(loc), msg));
-  }
+              const char* rule_id, const Format& format) {
+  if (rep.diagnostics.size() >= opts.max_messages) return;
+  std::ostringstream os;
+  Location loc = format(os);
+  rep.diagnostics.push_back(
+      analyze::make_diagnostic(rule_id, std::move(loc), os.str()));
 }
 
 std::string element_name(const FunctionSpec& spec, TensorId t,
@@ -85,11 +89,11 @@ LegalityReport verify(const FunctionSpec& spec, const Mapping& mapping,
       const auto here_pe = static_cast<std::int32_t>(machine.geom.index(here));
       if (when < 0) {
         ++rep.causality_violations;
-        std::ostringstream os;
-        os << element_name(spec, t, p) << " scheduled at negative cycle "
-           << when;
-        add_diag(rep, opts, "FM001",
-                 Location{element_name(spec, t, p), here_pe, when}, os.str());
+        add_diag(rep, opts, "FM001", [&](std::ostream& os) {
+          os << element_name(spec, t, p) << " scheduled at negative cycle "
+             << when;
+          return Location{element_name(spec, t, p), here_pe, when};
+        });
         return;
       }
       makespan = std::max(makespan, when + 1);
@@ -103,13 +107,12 @@ LegalityReport verify(const FunctionSpec& spec, const Mapping& mapping,
         const Cycle need = machine.earliest_start(spec, mapping, t, p, d);
         if (when < need) {
           ++rep.causality_violations;
-          std::ostringstream os;
-          os << element_name(spec, t, p) << " at cycle " << when
-             << " consumes " << element_name(spec, d.tensor, d.point)
-             << " which arrives at cycle " << need;
-          add_diag(rep, opts, "FM001",
-                   Location{element_name(spec, t, p), here_pe, when},
-                   os.str());
+          add_diag(rep, opts, "FM001", [&](std::ostream& os) {
+            os << element_name(spec, t, p) << " at cycle " << when
+               << " consumes " << element_name(spec, d.tensor, d.point)
+               << " which arrives at cycle " << need;
+            return Location{element_name(spec, t, p), here_pe, when};
+          });
         }
         if (spec.is_input(d.tensor)) {
           const InputHome& home = mapping.input_home(d.tensor);
@@ -128,12 +131,13 @@ LegalityReport verify(const FunctionSpec& spec, const Mapping& mapping,
   for (std::size_t i = 1; i < slots.size(); ++i) {
     if (slots[i] == slots[i - 1]) {
       ++rep.exclusivity_violations;
-      const auto pe = static_cast<std::int32_t>(slots[i] >> 40);
-      const auto cycle = static_cast<Cycle>(
-          slots[i] & ((std::uint64_t{1} << 40) - 1));
-      std::ostringstream os;
-      os << "two elements share PE " << pe << " at cycle " << cycle;
-      add_diag(rep, opts, "FM002", Location{"", pe, cycle}, os.str());
+      add_diag(rep, opts, "FM002", [&](std::ostream& os) {
+        const auto pe = static_cast<std::int32_t>(slots[i] >> 40);
+        const auto cycle = static_cast<Cycle>(
+            slots[i] & ((std::uint64_t{1} << 40) - 1));
+        os << "two elements share PE " << pe << " at cycle " << cycle;
+        return Location{"", pe, cycle};
+      });
     }
   }
 
@@ -208,10 +212,11 @@ LegalityReport verify(const FunctionSpec& spec, const Mapping& mapping,
       if (live > machine.pe_capacity_values && !flagged_this_pe) {
         ++rep.storage_violations;
         flagged_this_pe = true;
-        std::ostringstream os;
-        os << "PE " << e.pe << " holds " << live << " live values at cycle "
-           << e.cycle << " (capacity " << machine.pe_capacity_values << ")";
-        add_diag(rep, opts, "FM003", Location{"", e.pe, e.cycle}, os.str());
+        add_diag(rep, opts, "FM003", [&](std::ostream& os) {
+          os << "PE " << e.pe << " holds " << live << " live values at cycle "
+             << e.cycle << " (capacity " << machine.pe_capacity_values << ")";
+          return Location{"", e.pe, e.cycle};
+        });
       }
     }
   }
@@ -227,15 +232,14 @@ LegalityReport verify(const FunctionSpec& spec, const Mapping& mapping,
       }
       if (rate > machine.link_bits_per_cycle) {
         ++rep.bandwidth_violations;
-        std::ostringstream os;
-        os << "directed link " << l << " carries " << rate
-           << " bits/cycle on average (capacity "
-           << machine.link_bits_per_cycle << ")";
-        add_diag(rep, opts, "FM004",
-                 Location{"link " + std::to_string(l),
+        add_diag(rep, opts, "FM004", [&](std::ostream& os) {
+          os << "directed link " << l << " carries " << rate
+             << " bits/cycle on average (capacity "
+             << machine.link_bits_per_cycle << ")";
+          return Location{"link " + std::to_string(l),
                           static_cast<std::int32_t>(l / 4),
-                          analyze::Location::kNoCycle},
-                 os.str());
+                          analyze::Location::kNoCycle};
+        });
       }
     }
   }

@@ -405,4 +405,72 @@ Mapping stage_input_proto(const Pipeline& pipe, std::size_t s,
                      nullptr);
 }
 
+std::vector<ExecutionResult> execute_pipeline(
+    const Pipeline& pipe, const PipelineResult& tuned, StrategyKind strategy,
+    const MachineConfig& machine,
+    const std::vector<std::vector<double>>& external_inputs) {
+  std::size_t externals = 0;
+  for (std::size_t s = 0; s < pipe.size(); ++s) {
+    for (const StageInput& b : pipe.stage(s).inputs) {
+      if (b.kind == StageInput::Kind::kExternal) ++externals;
+    }
+  }
+  HARMONY_REQUIRE(external_inputs.size() == externals,
+                  "execute_pipeline: need one external input per external "
+                  "binding");
+
+  const GridMachine gm(machine);
+  std::vector<ExecutionResult> out;
+  std::size_t next_external = 0;
+  for (std::size_t s = 0; s < pipe.size(); ++s) {
+    // The homes the tuner priced; also checks that `tuned` fits `pipe`.
+    const Mapping proto = stage_input_proto(pipe, s, strategy, tuned);
+    const PipelineStage& st = pipe.stage(s);
+    const StageResult& sr = tuned.stages[s];
+    const FunctionSpec& spec = *st.spec;
+    const TensorId target = spec.computed_tensors().front();
+    HARMONY_REQUIRE(sr.found, "execute_pipeline: stage " + st.name +
+                                  " has no committed mapping");
+    HARMONY_REQUIRE(spec.is_output(target),
+                    "execute_pipeline: stage " + st.name +
+                        " does not mark its target as an output");
+
+    // Inputs in input_tensors() order: producer outputs as executed,
+    // external tensors as supplied.
+    const std::vector<TensorId> ins = spec.input_tensors();
+    std::vector<std::vector<double>> inputs;
+    for (std::size_t o = 0; o < ins.size(); ++o) {
+      const StageInput& b = st.inputs[o];
+      if (b.kind == StageInput::Kind::kProducer) {
+        inputs.push_back(out[b.producer].outputs.front());
+        continue;
+      }
+      inputs.push_back(external_inputs[next_external++]);
+      HARMONY_REQUIRE(
+          static_cast<std::int64_t>(inputs.back().size()) ==
+              spec.domain(ins[o]).size(),
+          "execute_pipeline: external input " + spec.name(ins[o]) +
+              " of stage " + st.name + " has the wrong size");
+    }
+
+    // Verify before running.
+    const auto cs = compile_spec(spec, machine, proto);
+    EvalContext ctx(*cs);
+    const bool affine = strategy == StrategyKind::kExhaustive;
+    const LegalityReport legality =
+        affine ? verify(*cs, sr.affine, ctx) : verify(*cs, sr.table, ctx);
+    if (!legality.ok) {
+      throw SimulationError("execute_pipeline: stage " + st.name +
+                            " has an illegal mapping: " +
+                            legality.first_message());
+    }
+    Mapping mapping = affine ? proto : to_mapping(spec, sr.table);
+    if (affine) {
+      mapping.set_computed(target, sr.affine.place_fn(), sr.affine.time_fn());
+    }
+    out.push_back(gm.run(spec, mapping, inputs));
+  }
+  return out;
+}
+
 }  // namespace harmony::fm

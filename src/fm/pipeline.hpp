@@ -28,9 +28,10 @@
 // Both reuse search_affine / search_table per stage (EvalContextPool per
 // lane under a scheduler) and plumb deadline-cut and cancel through
 // exactly like single-spec tunes: a cut pipeline returns best-so-far
-// with completed == false.  bench_e24_pipeline measures the greedy vs.
-// co-optimized gap over three scenarios; DESIGN.md §16 documents the
-// model.
+// with completed == false.  execute_pipeline then runs the tuned chain
+// on the GridMachine at the cost the tuner priced.  bench_e24_pipeline
+// measures the greedy vs. co-optimized gap over three scenarios;
+// DESIGN.md §16 documents the model.
 #pragma once
 
 #include <cstdint>
@@ -206,5 +207,21 @@ struct PipelineResult {
 [[nodiscard]] Mapping stage_input_proto(const Pipeline& pipe, std::size_t s,
                                         StrategyKind strategy,
                                         const PipelineResult& result);
+
+/// Runs a tuned pipeline on the GridMachine in stage order.  Each
+/// committed winner is checked with the compiled verify() against the
+/// homes stage_input_proto() resolves (an illegal stage throws
+/// SimulationError carrying the first diagnostic), then executes; its
+/// target tensor feeds its consumers.  `external_inputs` holds one
+/// row-major tensor per external binding, in (stage, input ordinal)
+/// order.  Throws InvalidArgument if `tuned` does not match `pipe`, a
+/// stage has no winner or does not mark its target as an output, or the
+/// external inputs are missing, extra or wrongly sized.  Returns one
+/// ledger per stage, whose makespan, messages and bit-hops equal the
+/// tuned StageResult::cost (energies up to addition order).
+[[nodiscard]] std::vector<ExecutionResult> execute_pipeline(
+    const Pipeline& pipe, const PipelineResult& tuned, StrategyKind strategy,
+    const MachineConfig& machine,
+    const std::vector<std::vector<double>>& external_inputs);
 
 }  // namespace harmony::fm

@@ -99,10 +99,10 @@ struct MetricsSnapshot {
   /// request's flat evaluation tables and skipped fm::compile_spec.
   std::uint64_t compile_hits = 0;
   std::uint64_t compile_misses = 0;
-  /// Tune winners replayed through the execution checker
-  /// (ServiceConfig::check_exec), and how many of those replays found
-  /// an axiom violation.  A nonzero failure count means an oracle and
-  /// the relational model disagree — a bug in one of them.
+  /// Tune winners replayed through the execution checker (every winner
+  /// is), and how many of those replays found an axiom violation.  A
+  /// nonzero failure count means an oracle and the relational model
+  /// disagree — a bug in one of them.
   std::uint64_t exec_checks = 0;
   std::uint64_t exec_failures = 0;
   /// Trace events lost to ring-buffer wrap in the current (or last)

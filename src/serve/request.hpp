@@ -149,7 +149,7 @@ struct Response {
   /// kTune: mapping-linter diagnostics (analyze::lint_mapping) for the
   /// best mapping found — warnings a merit number alone would hide.
   std::vector<analyze::Diagnostic> lint;
-  /// kTune with ServiceConfig::check_exec: the winner's execution
+  /// kTune / kPipelineTune with a winner: the winner's execution
   /// witness was replayed through analyze::ExecChecker.  `exec` holds
   /// any EXEC axiom violations (empty = the independent relational
   /// model agrees the winner is legal).

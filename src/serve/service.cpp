@@ -18,15 +18,15 @@ namespace {
 /// whose spec is gone are dropped, or else all of them.
 constexpr std::size_t kSpecFpCapacity = 1024;
 
-/// Builds the full Mapping a request describes: the AffineMap on the
-/// single computed tensor plus the declared input homes (DRAM default).
-fm::Mapping materialize_mapping(const Request& req,
-                                const fm::AffineMap& map) {
-  const auto computed = req.spec->computed_tensors();
-  HARMONY_REQUIRE(computed.size() == 1,
-                  "serve: spec must have exactly one computed tensor");
+/// CompiledSpec entries kept for tunes (LRU, keyed by make_compile_key).
+/// Two tunes that differ only in FoM or search knobs share one set of
+/// flat evaluation tables.
+constexpr std::size_t kCompileCacheCapacity = 128;
+
+/// Input-home prototype for the autotuner: the declared input homes
+/// (DRAM default), no computed assignment.
+fm::Mapping input_proto(const Request& req) {
   fm::Mapping m;
-  m.set_computed(computed[0], map.place_fn(), map.time_fn());
   const auto inputs = req.spec->input_tensors();
   for (std::size_t idx = 0; idx < inputs.size(); ++idx) {
     const InputPlacement placement =
@@ -36,15 +36,19 @@ fm::Mapping materialize_mapping(const Request& req,
   return m;
 }
 
-/// Input-home prototype for the autotuner (computed assignment unused).
-fm::Mapping input_proto(const Request& req) {
-  fm::Mapping m;
-  const auto inputs = req.spec->input_tensors();
-  for (std::size_t idx = 0; idx < inputs.size(); ++idx) {
-    const InputPlacement placement =
-        idx < req.inputs.size() ? req.inputs[idx] : InputPlacement::dram();
-    m.set_input(inputs[idx], placement.to_home());
-  }
+/// Builds the full Mapping a request describes: the AffineMap on the
+/// single computed tensor plus the input_proto homes.
+fm::Mapping materialize_mapping(const Request& req,
+                                const fm::AffineMap& map) {
+  const auto computed = req.spec->computed_tensors();
+  HARMONY_REQUIRE(computed.size() == 1,
+                  "serve: spec must have exactly one computed tensor");
+  // AffineMap::place wraps modulo cols and rows; a zero width from the
+  // wire would divide by zero.
+  HARMONY_REQUIRE(map.cols >= 1 && map.rows >= 1,
+                  "serve: map cols and rows must be positive");
+  fm::Mapping m = input_proto(req);
+  m.set_computed(computed[0], map.place_fn(), map.time_fn());
   return m;
 }
 
@@ -466,10 +470,12 @@ void Service::execute_pipeline_tune(const Pending& p, Response& r) {
 
 void Service::check_winner_exec(Response& r,
                                 const analyze::ExecWitness& witness) {
-  if (!cfg_.check_exec) return;
   // The independent relational model's verdict on the tune winner: a
   // nonzero EXEC count here means the searcher's legality gate and the
-  // axiom checker disagree about this very mapping.
+  // axiom checker disagree about this very mapping.  Its share of the
+  // tune grows as tunes shrink: analyze.exec_check_share was 0.010 on
+  // cold_tunes and 0.116 on mixed_fleet's 81-candidate tunes (traced
+  // perfbench, seed 3, 10 s, 4 vCPUs; DESIGN.md §14).
   trace::Span span("serve", "exec_check", 0, 0,
                    static_cast<std::uint64_t>(witness.num_ops));
   const analyze::ExecReport rep = analyze::ExecChecker().check(witness);
@@ -527,10 +533,6 @@ CacheKey Service::result_key(const Request& req) {
 
 std::shared_ptr<const fm::CompiledSpec> Service::compiled_for(
     const Request& req) {
-  if (cfg_.compile_cache_capacity == 0) {
-    metrics_.on_compile(false);
-    return fm::compile_spec(*req.spec, req.machine, input_proto(req));
-  }
   const CacheKey key = make_compile_key(req, spec_fp(req.spec));
   return compiled_cached(key, [&] {
     return fm::compile_spec(*req.spec, req.machine, input_proto(req));
@@ -541,7 +543,7 @@ std::shared_ptr<const fm::CompiledSpec> Service::compiled_for_stage(
     const Request& req, std::size_t stage, const fm::Mapping& proto,
     std::uint64_t home_fp) {
   const fm::FunctionSpec& spec = *req.pipeline->stage(stage).spec;
-  bool hashable = cfg_.compile_cache_capacity > 0;
+  bool hashable = true;
   for (const fm::StageInput& b : req.pipeline->stage(stage).inputs) {
     if (b.kind == fm::StageInput::Kind::kExternal &&
         b.home.kind == fm::InputHome::Kind::kDistributed) {
@@ -609,7 +611,7 @@ std::shared_ptr<const fm::CompiledSpec> Service::compiled_cached(
       compile_lru_.push_front(key);
       compile_cache_.emplace(key,
                              CompiledEntry{compiled, compile_lru_.begin()});
-      while (compile_cache_.size() > cfg_.compile_cache_capacity) {
+      while (compile_cache_.size() > kCompileCacheCapacity) {
         compile_cache_.erase(compile_lru_.back());
         compile_lru_.pop_back();
       }

@@ -76,17 +76,6 @@ struct ServiceConfig {
   std::chrono::nanoseconds deadline_margin{std::chrono::microseconds(200)};
   /// Dependence-edge sample size for cache keys (request.hpp).
   std::size_t key_sample_points = 32;
-  /// CompiledSpec entries kept for tunes (LRU, keyed by
-  /// make_compile_key).  Two tunes that differ only in FoM or search
-  /// knobs share one set of flat evaluation tables; 0 disables the
-  /// cache and compiles per tune.
-  std::size_t compile_cache_capacity = 128;
-  /// Post-hoc axiomatic validation of every tune winner through
-  /// analyze::ExecChecker (Response::exec / exec_checked).  On by
-  /// default: the check costs <5% of the tune it guards
-  /// (tests/analyze_exec_test.cpp pins the ratio), and it is the only
-  /// legality evidence that shares no code with the searchers' gate.
-  bool check_exec = true;
 };
 
 class Service {
@@ -159,9 +148,9 @@ class Service {
   /// certified through ExecChecker with its producer-substituted input
   /// homes (the diagnostics aggregate into Response::exec / lint).
   void execute_pipeline_tune(const Pending& p, Response& r);
-  /// Post-hoc ExecChecker replay of a tune winner's execution witness
-  /// (no-op unless ServiceConfig::check_exec).  Appends to Response::exec
-  /// — pipeline tunes certify one winner per stage.
+  /// Post-hoc ExecChecker replay of a tune winner's execution witness.
+  /// Appends to Response::exec — pipeline tunes certify one winner per
+  /// stage.
   void check_winner_exec(Response& r, const analyze::ExecWitness& witness);
   void respond(Pending& p, Response r);
   /// spec_fingerprint(*spec), memoized per live spec object (spec_fps_).

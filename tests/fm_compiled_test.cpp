@@ -88,7 +88,7 @@ struct FourBranch {
   TensorId a = -1, b = -1, y = -1;
 };
 
-FourBranch four_branch_spec() {
+FourBranch four_branch_spec(bool output = true) {
   FourBranch f;
   f.a = f.spec.add_input("a", IndexDomain(2));
   f.b = f.spec.add_input("b", IndexDomain(1));
@@ -109,7 +109,7 @@ FourBranch four_branch_spec() {
         return s;
       });
   *self = f.y;
-  f.spec.mark_output(f.y);
+  if (output) f.spec.mark_output(f.y);
   return f;
 }
 
@@ -239,6 +239,25 @@ TEST(CompiledVerify, ViolatingSchedulesReportIdenticallyToLegacy) {
     EXPECT_FALSE(legacy.ok);
     expect_legality_identical(verify(*cs, amap, ctx), legacy);
   }
+}
+
+TEST(CompiledVerify, NonOutputLifetimesEndAtLastUseAsInLegacy) {
+  // Without the outputs-live-to-the-end rule a value's residency ends at
+  // its last consumer, so the storage check depends on every consumer's
+  // cycle: y(i) stays on PE i mod 4 until y(i + 4) reads it there.
+  const FourBranch f = four_branch_spec(/*output=*/false);
+  MachineConfig cfg = make_machine(4, 1);
+  cfg.pe_capacity_values = 1;
+  const Mapping proto = four_branch_proto(f);
+  const auto cs = compile_spec(f.spec, cfg, proto);
+  EvalContext ctx(*cs);
+  const AffineMap amap = four_branch_map(cfg);
+  const LegalityReport legacy =
+      verify(f.spec, materialize(f.spec, f.y, amap, proto), cfg);
+  EXPECT_EQ(legacy.peak_live_values, 2);
+  EXPECT_GT(legacy.storage_violations, 0u);
+  expect_legality_identical(verify(*cs, amap, ctx), legacy);
+  EXPECT_EQ(verify_ok(*cs, amap, ctx), legacy.ok);
 }
 
 TEST(CompiledCost, EvalContextReuseAcrossCandidatesIsClean) {

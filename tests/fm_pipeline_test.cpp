@@ -9,18 +9,27 @@
 //     conflicting layouts;
 //   * a join stage mixing an external home with producer-fixed homes;
 //   * greedy vs. paired on a chain engineered so the producer's locally
-//     best layout is the consumer's worst — paired must not lose.
+//     best layout is the consumer's worst — paired must not lose;
+//   * execute_pipeline runs what the tuner committed: every stage's
+//     outputs match the spec's reference evaluation, and the executed
+//     ledger reproduces the tuned per-stage cost.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "algos/editdist.hpp"
 #include "algos/pipelines.hpp"
 #include "fm/cost.hpp"
+#include "fm/legality.hpp"
 #include "fm/pipeline.hpp"
 #include "fm/search.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 
 namespace harmony::fm {
 namespace {
@@ -289,6 +298,166 @@ TEST(Pipeline, StrategyStagesTuneTheIrregularChain) {
   const PipelineResult p = tune_pipeline_paired(pipe, machine, opts);
   ASSERT_TRUE(p.found);
   EXPECT_GT(p.probe_searches, 0u);
+}
+
+std::vector<double> random_tensor(std::int64_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> v(static_cast<std::size_t>(n));
+  for (double& x : v) x = rng.next_double(-1.0, 1.0);
+  return v;
+}
+
+/// Executes `tuned` and pins the executor to the tuner: each stage's
+/// outputs are the spec's reference evaluation of the inputs the stage
+/// was fed, and its ledger is the tuned StageResult::cost (counts
+/// exactly; energies up to the GridMachine's schedule-order addition).
+void expect_executes_as_tuned(const Pipeline& pipe,
+                              const PipelineResult& tuned,
+                              StrategyKind strategy,
+                              const MachineConfig& machine,
+                              const std::vector<std::vector<double>>& ext,
+                              const std::string& label) {
+  ASSERT_TRUE(tuned.found) << label;
+  const std::vector<ExecutionResult> run =
+      execute_pipeline(pipe, tuned, strategy, machine, ext);
+  ASSERT_EQ(run.size(), pipe.size()) << label;
+  std::size_t next_ext = 0;
+  for (std::size_t s = 0; s < pipe.size(); ++s) {
+    const PipelineStage& st = pipe.stage(s);
+    const std::string where = label + " stage " + st.name;
+    std::vector<std::vector<double>> inputs;
+    for (const StageInput& b : st.inputs) {
+      inputs.push_back(b.kind == StageInput::Kind::kProducer
+                           ? run[b.producer].outputs.front()
+                           : ext[next_ext++]);
+    }
+    EXPECT_EQ(run[s].outputs, st.spec->evaluate_reference(inputs)) << where;
+
+    const CostReport& c = tuned.stages[s].cost;
+    EXPECT_EQ(run[s].makespan_cycles, c.makespan_cycles) << where;
+    EXPECT_EQ(run[s].messages, c.messages) << where;
+    EXPECT_EQ(run[s].bit_hops, c.bit_hops) << where;
+    const auto expect_close = [&](Energy got, Energy want, const char* what) {
+      EXPECT_NEAR(got.femtojoules(), want.femtojoules(),
+                  1e-12 * std::abs(want.femtojoules()))
+          << where << " " << what;
+    };
+    expect_close(run[s].compute_energy, c.compute_energy, "compute");
+    expect_close(run[s].onchip_movement_energy, c.onchip_movement_energy,
+                 "onchip");
+    expect_close(run[s].local_access_energy, c.local_access_energy, "local");
+    expect_close(run[s].dram_energy, c.dram_energy, "dram");
+    expect_close(run[s].total_energy(), c.total_energy(), "total");
+  }
+}
+
+TEST(PipelineExecute, AffineChainsRunExactlyAsTuned) {
+  // scan -> filter -> scan, the diamond's fan-out and two-producer join,
+  // and FFT -> shuffle -> FFT, whose greedy chain hands values across
+  // links on a 2x2 mesh.
+  const MachineConfig machine = make_machine(2, 2);
+  PipelineOptions opts;
+  opts.search = small_space();
+  std::uint64_t messages = 0;
+  for (const auto& [name, pipe, n] :
+       {std::tuple<const char*, Pipeline, std::int64_t>{
+            "scan-filter-scan", algos::scan_filter_scan_pipeline(16), 16},
+        {"diamond", algos::diamond_pipeline(8), 8},
+        {"fft-shuffle-fft", algos::fft_shuffle_fft_pipeline(16), 16}}) {
+    const std::vector<std::vector<double>> ext{random_tensor(n, 16)};
+    for (const bool paired : {false, true}) {
+      const PipelineResult r = paired
+                                   ? tune_pipeline_paired(pipe, machine, opts)
+                                   : tune_pipeline_greedy(pipe, machine, opts);
+      expect_executes_as_tuned(pipe, r, opts.strategy, machine, ext,
+                               std::string(name) +
+                                   (paired ? " paired" : " greedy"));
+      messages += r.total.messages;
+    }
+  }
+  // Some chain really moves values between PEs, so the message and
+  // bit-hop pins above are not vacuous.
+  EXPECT_GT(messages, 0u);
+}
+
+TEST(PipelineExecute, AnnealedIrregularChainRunsExactlyAsTuned) {
+  const Pipeline pipe = algos::irregular_chain_pipeline(24, 3, 0xdadULL);
+  const MachineConfig machine = make_machine(4, 1);
+  PipelineOptions opts;
+  opts.strategy = StrategyKind::kAnneal;
+  opts.strategy_opts.chains = 2;
+  opts.strategy_opts.epochs = 6;
+  opts.strategy_opts.iters_per_epoch = 48;
+  opts.pair_candidates = 2;
+  const std::int64_t n_in =
+      pipe.stage(0).spec->domain(pipe.stage(0).spec->input_tensors()[0])
+          .size();
+  const std::vector<std::vector<double>> ext{random_tensor(n_in, 24)};
+  const PipelineResult g = tune_pipeline_greedy(pipe, machine, opts);
+  expect_executes_as_tuned(pipe, g, opts.strategy, machine, ext, "greedy");
+  const PipelineResult p = tune_pipeline_paired(pipe, machine, opts);
+  expect_executes_as_tuned(pipe, p, opts.strategy, machine, ext, "paired");
+}
+
+TEST(PipelineExecute, IllegalCommittedStageThrowsWithItsFirstDiagnostic) {
+  const Pipeline pipe = algos::scan_filter_scan_pipeline(16);
+  const MachineConfig machine = make_machine(4, 1);
+  PipelineOptions opts;
+  opts.search = small_space();
+  PipelineResult r = tune_pipeline_greedy(pipe, machine, opts);
+  ASSERT_TRUE(r.found);
+  // Every filter element at cycle 0: PEs collide and producer values
+  // cannot have arrived.
+  AffineMap& bad = r.stages[1].affine;
+  bad.ti = bad.tj = bad.tk = bad.t0 = 0;
+
+  // The legacy FunctionSpec oracle names the first violation.
+  const FunctionSpec& spec = *pipe.stage(1).spec;
+  Mapping full = stage_input_proto(pipe, 1, opts.strategy, r);
+  full.set_computed(spec.computed_tensors().front(), bad.place_fn(),
+                    bad.time_fn());
+  const LegalityReport legacy = verify(spec, full, machine);
+  ASSERT_FALSE(legacy.ok);
+  ASSERT_FALSE(legacy.first_message().empty());
+  try {
+    (void)execute_pipeline(pipe, r, opts.strategy, machine,
+                           {random_tensor(16, 1)});
+    FAIL() << "an illegal stage must not run";
+  } catch (const SimulationError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("filter"), std::string::npos) << what;
+    EXPECT_NE(what.find(legacy.first_message()), std::string::npos) << what;
+  }
+}
+
+TEST(PipelineExecute, RejectsMissingWinnersAndBadExternalInputs) {
+  const Pipeline pipe = algos::scan_filter_scan_pipeline(16);
+  const MachineConfig machine = make_machine(4, 1);
+  PipelineOptions opts;
+  opts.search = small_space();
+  const PipelineResult r = tune_pipeline_greedy(pipe, machine, opts);
+  ASSERT_TRUE(r.found);
+  const StrategyKind k = opts.strategy;
+  const std::vector<double> x = random_tensor(16, 2);
+
+  PipelineResult unwon = r;
+  unwon.stages[2].found = false;
+  EXPECT_THROW((void)execute_pipeline(pipe, unwon, k, machine, {x}),
+               InvalidArgument);
+  PipelineResult truncated = r;
+  truncated.stages.pop_back();
+  EXPECT_THROW((void)execute_pipeline(pipe, truncated, k, machine, {x}),
+               InvalidArgument);
+  // Missing, extra, and wrongly sized external tensors.
+  EXPECT_THROW((void)execute_pipeline(pipe, r, k, machine, {}),
+               InvalidArgument);
+  EXPECT_THROW((void)execute_pipeline(pipe, r, k, machine, {x, x}),
+               InvalidArgument);
+  EXPECT_THROW((void)execute_pipeline(pipe, r, k, machine,
+                                      {random_tensor(15, 2)}),
+               InvalidArgument);
+  // The well-formed call runs.
+  EXPECT_EQ(execute_pipeline(pipe, r, k, machine, {x}).size(), 3u);
 }
 
 }  // namespace

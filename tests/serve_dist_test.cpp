@@ -427,6 +427,32 @@ TEST(ServeDist, UnknownSpecAndUnsupportedKindYieldErrorsNotDeath) {
   EXPECT_EQ(fleet.router.call(cost_req(4, 4, 2)).status, kOk);
 }
 
+TEST(ServeDist, ZeroWidthMapYieldsErrorNotDeath) {
+  // AffineMap::place wraps modulo the map's cols and rows, so a wire map
+  // with either at 0 used to divide by zero and kill the shard.
+  Fleet fleet(1);
+  for (const RequestKind kind :
+       {RequestKind::kCostEval, RequestKind::kLegality}) {
+    for (const bool zero_cols : {true, false}) {
+      WireRequest bad = cost_req(6, 6, 6);
+      bad.kind = kind;
+      (zero_cols ? bad.map.cols : bad.map.rows) = 0;
+      const WireResponse r = fleet.router.call(bad);
+      EXPECT_EQ(r.status, kError) << to_string(kind);
+      EXPECT_NE(r.error.find("cols and rows must be positive"),
+                std::string::npos)
+          << r.error;
+
+      // The same shard still answers a well-formed request.
+      WireRequest good = cost_req(6, 6, 6);
+      good.kind = kind;
+      const WireResponse ok = fleet.router.call(good);
+      EXPECT_EQ(ok.status, kOk) << to_string(kind);
+      EXPECT_EQ(ok.shard, r.shard);
+    }
+  }
+}
+
 TEST(ServeDist, RouterWithoutShardsRejects) {
   Router router;
   const WireResponse r = router.call(cost_req(4, 4, 2));
