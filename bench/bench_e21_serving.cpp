@@ -205,11 +205,11 @@ RunStats open_loop(const Population& pop, const Zipf& zipf,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::cout << "E21: serving the mapping oracles — cache + batching under "
-               "Zipf traffic\n\n";
+  std::cout << "E21: serving the mapping oracles — cache + coalescing "
+               "under Zipf traffic\n\n";
 
   // --trace out.json records request lifecycles (admit → queue_wait →
-  // batch → cache_probe → cost_eval/tune → reply, stitched by request
+  // cache_probe → cost_eval/tune → reply, stitched by request
   // id) across every Service this run stands up.  Each Service is
   // destroyed inside its own scope, so all traced threads are joined
   // before the capture at the bottom of main.

@@ -110,8 +110,8 @@ int main(int argc, char** argv) {
 
     // The metrics endpoint, human- and machine-readable.
     snap = svc.metrics();
-    // Scope end: ~Service joins the dispatcher and the worker pool, so
-    // every traced thread is quiescent before capture() below.
+    // Scope end: ~Service joins the worker pool, so every traced
+    // thread is quiescent before capture() below.
   }
   std::cout << "\n";
   serve::metrics_table(snap).print(std::cout);

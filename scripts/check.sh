@@ -7,11 +7,13 @@
 #      runs, including --check-exec on one affine and one TableMap
 #      fixture and one --pipeline chain (tune + per-stage ExecChecker
 #      certification against producer-substituted input homes);
-#   3. ASan/UBSan build running the serve + analyze + support tests and
-#      the compiled-evaluation, strategy and pipeline fm tests (the
-#      concurrent subsystem and the shadow-memory detector are where
-#      lifetime bugs would live; support_test exercises the Rng
-#      full-domain ranges whose old arithmetic was signed-overflow UB;
+#   3. ASan/UBSan build running the serve + sched + analyze + support
+#      tests and the compiled-evaluation, strategy and pipeline fm tests
+#      (the concurrent subsystem and the shadow-memory detector are where
+#      lifetime bugs would live; the sched tests cover the heap-allocated
+#      scheduler roots, where a double run or a leak would show;
+#      support_test exercises the Rng full-domain ranges whose old
+#      arithmetic was signed-overflow UB;
 #      the serve_dist tests cover the router/worker wire path, where a
 #      bounds bug in frame decoding would be a heap overread; the fm
 #      parity sweeps index the compiled legality pass and the pipeline
@@ -21,7 +23,7 @@
 #      correctness suite
 #      (parallel search parity, compiled-evaluation parity, delta-eval
 #      parity, multi-chain anneal/beam worker-count identity, scheduler
-#      wakeup, batching, cache, concurrent trace-ring writes, router
+#      wakeup, roots, coalescing, cache, concurrent trace-ring writes, router
 #      coalescing/stealing/drain against live worker threads) plus the
 #      stress test under ThreadSanitizer;
 #   5. perf    — smoke runs of the compiled-evaluation, stochastic-
@@ -85,15 +87,15 @@ run_analyze() {
 }
 
 run_asan() {
-  echo "== ASan/UBSan: serve + analyze + support + fm tests ==" &&
+  echo "== ASan/UBSan: serve + sched + analyze + support + fm tests ==" &&
   cmake -B build-asan -S . -DHARMONY_ASAN=ON &&
   cmake --build build-asan -j --target serve_test serve_ring_test \
-    serve_wire_test serve_dist_test serve_stress_test \
-    analyze_race_test analyze_lint_test analyze_exec_test \
-    analyze_witness_test support_test fm_compiled_test fm_strategy_test \
-    fm_pipeline_test &&
+    serve_wire_test serve_dist_test serve_stress_test sched_test \
+    sched_robustness_test analyze_race_test analyze_lint_test \
+    analyze_exec_test analyze_witness_test support_test fm_compiled_test \
+    fm_strategy_test fm_pipeline_test &&
   ctest --test-dir build-asan --output-on-failure \
-    -R "serve|analyze|support|fm_compiled|fm_strategy|fm_pipeline"
+    -R "serve|sched_test|sched_robustness|analyze|support|fm_compiled|fm_strategy|fm_pipeline"
 }
 
 run_tsan() {

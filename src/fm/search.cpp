@@ -286,13 +286,9 @@ SearchResult search_affine(const FunctionSpec& spec,
                                        ctx_pool.lane(lane));
                  });
   };
-  if (sched::Scheduler::in_parallel_context()) {
-    // Already inside a scheduler session (e.g. the serve dispatcher's
-    // batch loop): fork into it instead of opening a nested run().
-    kernel();
-  } else {
-    opts.scheduler->run(kernel);
-  }
+  // On one of the pool's own workers (a Service request) run() forks
+  // inline; from any other thread it spawns a root and waits for it.
+  opts.scheduler->run(kernel);
 
   result.workers_used = lanes;
   merge_tallies(tallies, opts.top_k, result);

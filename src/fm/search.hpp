@@ -102,9 +102,9 @@ struct SearchOptions {
   std::uint64_t resume_from = 0;
   /// Non-null: evaluate enumeration grains in parallel on this
   /// scheduler.  The ranked outcome (top, best, all_legal, counters) is
-  /// identical to the serial backend on the same options.  When the
-  /// calling thread is already a scheduler worker the grains fork into
-  /// the surrounding session; otherwise scheduler->run() opens one.
+  /// identical to the serial backend on the same options.  The grains
+  /// run through scheduler->run(): inline when the calling thread is one
+  /// of its workers (a Service request), as a spawned root otherwise.
   sched::Scheduler* scheduler = nullptr;
   /// Fork-join lanes to spread grains over; 0 means one lane per
   /// scheduler worker.  Always clamped to scheduler->num_workers().

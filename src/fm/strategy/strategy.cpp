@@ -231,8 +231,8 @@ void apply_to_table(TableMap& tm, const Move& mv) {
 }
 
 /// Spreads `results[i] = eval(ctx, i)` over [0, count) through the
-/// strategy_lanes kernel — on the scheduler when one is given (forking
-/// into a surrounding session when already inside one), serially
+/// strategy_lanes kernel — on the scheduler when one is given (inline
+/// when already on one of its workers, Scheduler::run), serially
 /// otherwise.  Returns the lane count used.
 template <typename Result, typename Eval>
 unsigned spread_lanes(sched::Scheduler* scheduler, unsigned num_workers,
@@ -249,12 +249,7 @@ unsigned spread_lanes(sched::Scheduler* scheduler, unsigned num_workers,
     for (std::size_t i = 0; i < count; ++i) results[i] = eval(ctx, i);
     return 1;
   }
-  const auto kernel = [&] { strategy_lanes(ctx, count, results, eval); };
-  if (sched::Scheduler::in_parallel_context()) {
-    kernel();
-  } else {
-    scheduler->run(kernel);
-  }
+  scheduler->run([&] { strategy_lanes(ctx, count, results, eval); });
   return lanes;
 }
 

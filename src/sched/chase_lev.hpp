@@ -117,10 +117,17 @@ class ChaseLevDeque {
     return job;
   }
 
-  /// Approximate size (owner's view).
+  /// Approximate size (owner's view).  seq_cst under TSan: the
+  /// scheduler's park re-check relies on it there (scheduler.hpp,
+  /// on_job_pushed).
   [[nodiscard]] std::int64_t size_approx() const {
+#ifdef HARMONY_TSAN_ENABLED
+    return bottom_.load(std::memory_order_seq_cst) -
+           top_.load(std::memory_order_seq_cst);
+#else
     return bottom_.load(std::memory_order_relaxed) -
            top_.load(std::memory_order_relaxed);
+#endif
   }
 
  private:

@@ -1,11 +1,17 @@
 #include "sched/scheduler.hpp"
 
-#include <chrono>
 #include <string>
 
 #include "trace/trace.hpp"
 
 namespace harmony::sched {
+
+namespace {
+
+/// Failed help() sweeps an idle worker yields through before parking.
+constexpr unsigned kSpinSweeps = 64;
+
+}  // namespace
 
 Scheduler::Worker*& Scheduler::current_worker_slot() {
   thread_local Worker* tls = nullptr;
@@ -22,44 +28,53 @@ Scheduler::Scheduler(unsigned num_workers) {
     w->rng = Rng(0x5eed0000 + i);
     workers_.push_back(std::move(w));
   }
-  threads_.reserve(num_workers > 0 ? num_workers - 1 : 0);
-  for (unsigned i = 1; i < num_workers; ++i) {
+  threads_.reserve(num_workers);
+  for (unsigned i = 0; i < num_workers; ++i) {
     threads_.emplace_back([this, i] { worker_loop(i); });
   }
 }
 
 Scheduler::~Scheduler() {
-  shutdown_.store(true, std::memory_order_release);
   {
-    // Empty critical section: a worker past its predicate check but not
-    // yet blocked holds sleep_mutex_, so this serializes the notify
-    // after it actually waits.
-    std::lock_guard<std::mutex> lk(sleep_mutex_);
+    std::lock_guard<std::mutex> lk(mu_);
+    shutdown_ = true;
   }
   sleep_cv_.notify_all();
   for (auto& t : threads_) t.join();
 }
 
-void Scheduler::begin_session() {
-  session_mutex_.lock();
-  HARMONY_ASSERT_MSG(current_worker() == nullptr,
-                     "Scheduler::run: nested run() is not supported");
-  current_worker_slot() = workers_[0].get();
+void Scheduler::push_root(std::unique_ptr<RootJob> root) {
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    roots_.push_back(std::move(root));
+    roots_queued_.store(roots_.size(), std::memory_order_relaxed);
+  }
+  // A worker registers in sleepers_ under mu_ before it parks, so this
+  // load (after our unlock) sees it; one that registers later sees the
+  // root in its wait predicate.
+  if (sleepers_.load(std::memory_order_relaxed) > 0) sleep_cv_.notify_one();
 }
 
-void Scheduler::end_session() {
-  current_worker_slot() = nullptr;
-  session_mutex_.unlock();
+std::unique_ptr<Scheduler::RootJob> Scheduler::take_root() {
+  if (roots_queued_.load(std::memory_order_relaxed) == 0) return nullptr;
+  std::lock_guard<std::mutex> lk(mu_);
+  if (roots_.empty()) return nullptr;
+  std::unique_ptr<RootJob> root = std::move(roots_.front());
+  roots_.pop_front();
+  roots_queued_.store(roots_.size(), std::memory_order_relaxed);
+  return root;
 }
 
 void Scheduler::on_job_pushed() {
-  // seq_cst pairs with the fetch_add in worker_loop: either this load
-  // sees the sleeper (and we notify under the mutex), or the sleeper's
-  // increment came later and its wait predicate re-checks the deques —
-  // both orders deliver the job; there is no interleaving that loses it.
+  // Pairs with the park in worker_loop (scheduler.hpp has the argument).
+#ifdef HARMONY_TSAN_ENABLED
   if (sleepers_.load(std::memory_order_seq_cst) == 0) return;
+#else
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (sleepers_.load(std::memory_order_relaxed) == 0) return;
+#endif
   {
-    std::lock_guard<std::mutex> lk(sleep_mutex_);
+    std::lock_guard<std::mutex> lk(mu_);
   }
   sleep_cv_.notify_one();
 }
@@ -71,12 +86,21 @@ bool Scheduler::have_pending_work() const {
   return false;
 }
 
-bool Scheduler::help(Worker& self) {
+bool Scheduler::help(Worker& self, bool take_roots) {
   // Own work first (depth-first execution preserves locality).
   if (Job* j = self.deque.pop()) {
     trace::Span span("sched", "run", 0, self.index);
     j->run();
     return true;
+  }
+  // Then a fresh root: a new request is worth more than a share of a
+  // running one's forks.
+  if (take_roots) {
+    if (const std::unique_ptr<RootJob> root = take_root()) {
+      trace::Span span("sched", "root", 0, self.index);
+      root->run();
+      return true;
+    }
   }
   // Then steal from a uniformly random victim.
   const auto n = workers_.size();
@@ -99,33 +123,31 @@ void Scheduler::worker_loop(unsigned index) {
   current_worker_slot() = &self;
   trace::set_thread_name("sched-w" + std::to_string(index));
   unsigned failures = 0;
-  while (!shutdown_.load(std::memory_order_acquire)) {
-    if (help(self)) {
+  while (true) {
+    if (help(self, /*take_roots=*/true)) {
       failures = 0;
       continue;
     }
-    ++failures;
-    if (failures < 64) {
+    if (++failures < kSpinSweeps) {
       std::this_thread::yield();
-    } else {
-      // Nothing to do: park until a job is pushed or shutdown.  The
-      // wait predicate re-checks deque emptiness *under sleep_mutex_*:
-      // a push that raced our failed steal sweep is either seen here
-      // (never block on a non-empty system) or happened after our
-      // sleepers_ increment, in which case on_job_pushed() observes the
-      // sleeper and notifies through the same mutex — the lost-wakeup
-      // window between "sweep failed" and "blocked" is closed.  The
-      // timeout is a belt-and-braces backstop only.
-      trace::Span span("sched", "sleep", 0, self.index);
-      std::unique_lock<std::mutex> lk(sleep_mutex_);
-      sleepers_.fetch_add(1, std::memory_order_seq_cst);
-      sleep_cv_.wait_for(lk, std::chrono::milliseconds(2), [this] {
-        return shutdown_.load(std::memory_order_acquire) ||
-               have_pending_work();
-      });
-      sleepers_.fetch_sub(1, std::memory_order_seq_cst);
-      failures = 0;
+      continue;
     }
+    failures = 0;
+    // Nothing to do: park until a push, a spawn or shutdown.  Exit only
+    // once shutdown is set and no root is left to run.
+    std::unique_lock<std::mutex> lk(mu_);
+    if (shutdown_ && roots_.empty()) break;
+    trace::Span span("sched", "sleep", 0, self.index);
+#ifdef HARMONY_TSAN_ENABLED
+    sleepers_.fetch_add(1, std::memory_order_seq_cst);
+#else
+    sleepers_.fetch_add(1, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_seq_cst);  // see on_job_pushed
+#endif
+    sleep_cv_.wait(lk, [this] {
+      return shutdown_ || !roots_.empty() || have_pending_work();
+    });
+    sleepers_.fetch_sub(1, std::memory_order_relaxed);
   }
   current_worker_slot() = nullptr;
 }

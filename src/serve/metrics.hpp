@@ -75,8 +75,12 @@ struct MetricsSnapshot {
   std::uint64_t rejected = 0;
   std::uint64_t errors = 0;
   std::uint64_t deadline_cut = 0;
+  /// Leader runs: admitted misses a worker ran (duplicates parked on a
+  /// running leader are answered by it and are not runs of their own).
   std::uint64_t batches = 0;
+  /// Requests answered per leader run (1 + its parked duplicates).
   double mean_batch = 0.0;
+  /// Admitted misses still waiting for a worker to start them.
   std::uint64_t queue_depth = 0;
   CacheStats cache;
   double p50_us = 0.0;
@@ -93,7 +97,7 @@ struct MetricsSnapshot {
   /// Mean fork-join lanes per tune (1.0 == every tune ran serial).
   double mean_tune_workers = 0.0;
   /// Scheduler steals observed across tunes — approximate when tunes
-  /// overlap in one batch session, but a faithful saturation signal.
+  /// overlap on the pool, but a faithful saturation signal.
   std::uint64_t tune_steals = 0;
   /// CompiledSpec cache traffic: a hit means a tune reused another
   /// request's flat evaluation tables and skipped fm::compile_spec.

@@ -1,25 +1,21 @@
-// Bounded MPMC admission queue with backpressure.
+// Bounded MPMC queue with backpressure.
 //
-// The serving layer's first line of defense: when producers outrun the
-// worker pool, try_push fails fast (the service turns that into a
-// kRejected response with a retry-after hint) instead of letting the
-// queue — and every queued request's latency — grow without bound.
-// Consumers drain in batches so the dispatcher can dedup identical
-// requests and amortize scheduler-session overhead across a whole batch.
+// When producers outrun the consumers, try_push fails fast (the caller
+// turns that into a rejection) instead of letting the queue — and every
+// queued item's latency — grow without bound.  serve::Worker hands
+// queued replies to its responder threads through one.
 //
-// Plain mutex + condition variable on purpose: admission is not the hot
-// path (cache hits never reach the queue), and the lock makes the
-// close/drain protocol — close() wakes every popper, pop_batch returns
-// false only when closed *and* empty — easy to get right under TSan.
+// Plain mutex + condition variable on purpose: this is not a hot path,
+// and the lock makes the close/drain protocol — close() wakes every
+// popper, pop returns false only when closed *and* empty — easy to get
+// right under TSan.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <mutex>
 #include <utility>
-#include <vector>
 
 #include "support/error.hpp"
 
@@ -56,35 +52,6 @@ class BoundedQueue {
     return true;
   }
 
-  /// Blocks for at least one item, then takes up to `max_items`,
-  /// lingering for stragglers to batch with.  The linger budget is a
-  /// deadline fixed when the first item is taken — straggler rounds
-  /// wait only the *remaining* time, so total added latency is bounded
-  /// by `linger` no matter how many stragglers trickle in (a per-round
-  /// `wait_for(linger)` would restart the budget on every arrival and
-  /// let a slow trickle stretch the batch indefinitely).  Appends to
-  /// `out`; returns false only when closed and drained.
-  [[nodiscard]] bool pop_batch(std::vector<T>& out, std::size_t max_items,
-                               std::chrono::microseconds linger) {
-    std::unique_lock<std::mutex> lk(mu_);
-    not_empty_.wait(lk, [this] { return closed_ || !items_.empty(); });
-    if (items_.empty()) return false;
-    take(out, max_items);
-    if (linger > std::chrono::microseconds::zero()) {
-      const auto deadline = std::chrono::steady_clock::now() + linger;
-      while (out.size() < max_items && !closed_ &&
-             std::chrono::steady_clock::now() < deadline) {
-        if (!not_empty_.wait_until(lk, deadline, [this] {
-              return closed_ || !items_.empty();
-            })) {
-          break;  // deadline expired with nothing new
-        }
-        take(out, max_items);
-      }
-    }
-    return true;
-  }
-
   /// Wakes all blocked poppers; subsequent pushes fail.  Items already
   /// admitted stay poppable (graceful drain).
   void close() {
@@ -108,13 +75,6 @@ class BoundedQueue {
   [[nodiscard]] std::size_t capacity() const { return cap_; }
 
  private:
-  void take(std::vector<T>& out, std::size_t max_items) {
-    while (!items_.empty() && out.size() < max_items) {
-      out.push_back(std::move(items_.front()));
-      items_.pop_front();
-    }
-  }
-
   mutable std::mutex mu_;
   std::condition_variable not_empty_;
   std::deque<T> items_;

@@ -10,7 +10,8 @@
 //   * duplicate coalescing — a request whose key is already in flight
 //     attaches to the leader's reply instead of re-asking the shard
 //     (deadline-carrying requests opt out, exactly like the Service's
-//     batch dedup: different patience deserves a different frontier);
+//     in-flight coalescing: different patience deserves a different
+//     frontier);
 //   * overflow stealing — when the affinity shard's outstanding count
 //     exceeds the least-loaded active shard's by steal_margin, the
 //     request routes to the least-loaded shard instead.  The stolen

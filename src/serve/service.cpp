@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <exception>
-#include <unordered_map>
 #include <utility>
 
 #include "analyze/exec.hpp"
 #include "analyze/lint.hpp"
-#include "sched/parallel_ops.hpp"
 #include "trace/trace.hpp"
 
 namespace harmony::serve {
@@ -58,27 +56,24 @@ Service::Service(ServiceConfig cfg)
     : cfg_(cfg),
       cache_(std::max<std::size_t>(1, cfg.cache_capacity),
              std::max<std::size_t>(1, cfg.cache_shards)),
-      queue_(std::max<std::size_t>(1, cfg.queue_capacity)),
       scheduler_(std::max(1u, cfg.num_workers)) {
   cfg_.num_workers = std::max(1u, cfg_.num_workers);
-  cfg_.max_batch = std::max<std::size_t>(1, cfg_.max_batch);
-  dispatcher_ = std::thread([this] { dispatch_loop(); });
+  cfg_.queue_capacity = std::max<std::size_t>(1, cfg_.queue_capacity);
 }
 
 Service::~Service() { shutdown(); }
 
 void Service::shutdown() {
-  stopping_.store(true, std::memory_order_release);
-  queue_.close();  // idempotent; wakes the dispatcher to drain
-  std::lock_guard<std::mutex> lk(shutdown_mu_);
-  if (dispatcher_.joinable()) dispatcher_.join();
+  std::unique_lock<std::mutex> lk(admit_mu_);
+  stopping_ = true;
+  idle_cv_.wait(lk, [this] { return admitted_ == 0; });
 }
 
 std::future<Response> Service::submit(Request req) {
   metrics_.on_submit();
   const std::uint64_t rid = next_rid_.fetch_add(1, std::memory_order_relaxed);
   // Covers admission on the caller's thread: validation, the cache fast
-  // path (arg0 = 1 on a hit), and the queue push.
+  // path (arg0 = 1 on a hit), and the spawn.
   trace::Span admit_span("serve", "admit", rid);
   const Clock::time_point now = Clock::now();
   std::promise<Response> ready;
@@ -107,7 +102,7 @@ std::future<Response> Service::submit(Request req) {
   if (p->use_cache) {
     p->key = result_key(p->req);
     // Fast path: answer memoized queries on the caller's thread, never
-    // touching the admission queue.
+    // touching admission.
     if (auto hit = cache_.get(p->key)) {
       admit_span.set_args(1, 0);
       Response r = *hit;
@@ -119,104 +114,73 @@ std::future<Response> Service::submit(Request req) {
     }
   }
 
-  if (stopping_.load(std::memory_order_acquire)) {
-    Response r;
-    r.status = Status::kRejected;
-    r.kind = p->req.kind;
-    r.error = "service shutting down";
-    r.retry_after = cfg_.retry_after;
-    metrics_.on_reject();
-    ready.set_value(std::move(r));
-    return fut;
-  }
-
   const std::chrono::nanoseconds budget =
       p->req.deadline.count() > 0 ? p->req.deadline : cfg_.default_deadline;
   if (budget.count() > 0) {
     p->has_deadline = true;
     p->deadline = now + budget;
   }
-
-  // Hand the caller the *real* promise's future before enqueueing.
-  fut = p->promise.get_future();
+  // Duplicates share one oracle run, except deadline-carrying tunes: two
+  // waiters with different budgets deserve different frontiers.
+  const bool is_tune = p->req.kind == RequestKind::kTune ||
+                       p->req.kind == RequestKind::kPipelineTune;
+  p->coalesce = p->use_cache && !(is_tune && p->has_deadline);
   p->rid = rid;
   if (trace::enabled()) p->enqueue_ns = trace::now_ns();
-  const RequestKind kind = p->req.kind;
-  if (!queue_.try_push(std::move(p))) {
+
+  const char* reject = nullptr;
+  {
+    std::lock_guard<std::mutex> lk(admit_mu_);
+    if (stopping_) {
+      reject = "service shutting down";
+    } else if (admitted_ >= cfg_.queue_capacity) {
+      reject = "admission queue full";
+    } else {
+      ++admitted_;
+      fut = p->promise.get_future();
+      if (p->coalesce) {
+        const auto [it, leader] = inflight_.try_emplace(p->key);
+        if (!leader) {
+          it->second.push_back(std::move(p));  // answered by the leader
+          return fut;
+        }
+      }
+      waiting_.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  if (reject != nullptr) {
     Response r;
     r.status = Status::kRejected;
-    r.kind = kind;
-    r.error = "admission queue full";
+    r.kind = p->req.kind;
+    r.error = reject;
     r.retry_after = cfg_.retry_after;
     metrics_.on_reject();
-    std::promise<Response> rejected;
-    fut = rejected.get_future();
-    rejected.set_value(std::move(r));
+    ready.set_value(std::move(r));
+    return fut;
   }
+  scheduler_.spawn([this, leader = std::move(p)] { run_request(*leader); });
   return fut;
 }
 
 Response Service::call(Request req) { return submit(std::move(req)).get(); }
 
 MetricsSnapshot Service::metrics() const {
-  return metrics_.snapshot(queue_.size(), cache_.stats());
+  return metrics_.snapshot(waiting_.load(std::memory_order_relaxed),
+                           cache_.stats());
 }
 
-void Service::dispatch_loop() {
-  trace::set_thread_name("serve-dispatch");
-  std::vector<std::unique_ptr<Pending>> batch;
-  while (true) {
-    batch.clear();
-    if (!queue_.pop_batch(batch, cfg_.max_batch, cfg_.batch_linger)) {
-      return;  // closed and drained
-    }
-    metrics_.on_batch(batch.size());
-    if (trace::enabled()) {
-      // Close each request's queue-wait interval (opened at admission)
-      // and sample the depth left behind after this drain.
-      const std::uint64_t drained_ns = trace::now_ns();
-      for (const auto& p : batch) {
-        if (p->enqueue_ns != 0) {
-          trace::emit_span("serve", "queue_wait", p->enqueue_ns, drained_ns,
-                           p->rid);
-        }
-      }
-      trace::emit_counter("serve", "queue_depth", queue_.size());
-    }
-
-    // Group duplicates: requests with equal cache keys execute once and
-    // share the answer.  Deadline-carrying tunes stay singleton groups —
-    // two waiters with different budgets deserve different frontiers.
-    std::vector<std::vector<std::unique_ptr<Pending>>> groups;
-    std::unordered_map<CacheKey, std::size_t, CacheKeyHash> by_key;
-    for (auto& p : batch) {
-      const bool is_tune = p->req.kind == RequestKind::kTune ||
-                           p->req.kind == RequestKind::kPipelineTune;
-      const bool dedupable = p->use_cache && !(is_tune && p->has_deadline);
-      if (dedupable) {
-        if (const auto it = by_key.find(p->key); it != by_key.end()) {
-          groups[it->second].push_back(std::move(p));
-          continue;
-        }
-        by_key.emplace(p->key, groups.size());
-      }
-      groups.emplace_back();
-      groups.back().push_back(std::move(p));
-    }
-
-    trace::Span batch_span("serve", "batch", 0, batch.size(), groups.size());
-    scheduler_.run([&] {
-      sched::RealCtx ctx;
-      sched::parallel_for(ctx, 0, groups.size(), 1,
-                          [&](std::size_t g) { run_group(groups[g]); });
-    });
+void Service::run_request(Pending& leader) {
+  const std::size_t depth =
+      waiting_.fetch_sub(1, std::memory_order_relaxed) - 1;
+  if (leader.enqueue_ns != 0) {
+    // Close the queue-wait interval opened at admission and sample the
+    // requests still waiting for a worker.
+    trace::emit_span("serve", "queue_wait", leader.enqueue_ns,
+                     trace::now_ns(), leader.rid);
+    trace::emit_counter("serve", "queue_depth", depth);
   }
-}
 
-void Service::run_group(std::vector<std::unique_ptr<Pending>>& group) {
-  Pending& leader = *group.front();
-
-  // A sibling batch may have filled the cache since admission.
+  // A duplicate run may have filled the cache since admission.
   std::shared_ptr<const Response> cached;
   if (leader.use_cache) {
     trace::Span probe_span("serve", "cache_probe", leader.rid);
@@ -248,13 +212,30 @@ void Service::run_group(std::vector<std::unique_ptr<Pending>>& group) {
     }
   }
 
-  for (std::size_t i = 0; i < group.size(); ++i) {
-    Response r = cached ? *cached : computed;
+  // Stored before the entry goes: a duplicate admitted from here on
+  // hits the cache, one admitted before is parked and answered below.
+  std::vector<std::unique_ptr<Pending>> followers;
+  if (leader.coalesce) {
+    std::lock_guard<std::mutex> lk(admit_mu_);
+    auto node = inflight_.extract(leader.key);
+    followers = std::move(node.mapped());
+  }
+  metrics_.on_batch(1 + followers.size());
+
+  Response r = cached ? *cached : computed;
+  r.cache_hit = cached != nullptr;
+  for (const std::unique_ptr<Pending>& f : followers) {
     // Followers coalesced onto the leader count as hits: they were
     // answered by sharing, not by running the oracle.
-    r.cache_hit = cached != nullptr || i > 0;
-    respond(*group[i], std::move(r));
+    Response shared = r;
+    shared.cache_hit = true;
+    respond(*f, std::move(shared));
   }
+  respond(leader, std::move(r));
+
+  std::lock_guard<std::mutex> lk(admit_mu_);
+  admitted_ -= 1 + followers.size();
+  if (admitted_ == 0) idle_cv_.notify_all();
 }
 
 Response Service::execute(const Pending& p) {
@@ -290,10 +271,10 @@ Response Service::execute(const Pending& p) {
         const std::shared_ptr<const fm::CompiledSpec> compiled =
             compiled_for(req);
         opts.compiled = compiled;
-        // Fork enumeration grains into the service's shared pool.  We
-        // are already inside the dispatcher's batch session, so the
-        // search forks inline rather than opening a nested run(); the
-        // per-request lane ask is clamped by the service-level cap.
+        // Fork enumeration grains into the service's shared pool.  This
+        // request is already a root on that pool, so the search forks
+        // inline (Scheduler::run); the per-request lane ask is clamped
+        // by the service-level cap.
         opts.scheduler = &scheduler_;
         const unsigned cap = cfg_.max_tune_workers == 0
                                  ? cfg_.num_workers
@@ -314,8 +295,8 @@ Response Service::execute(const Pending& p) {
           };
         }
         // Steal-count delta around the search: approximate when tunes
-        // overlap in one batch (steals interleave), but cheap and a
-        // faithful saturation signal in aggregate.
+        // overlap (steals interleave), but cheap and a faithful
+        // saturation signal in aggregate.
         const std::uint64_t steals_before = scheduler_.steal_count();
         r.search =
             fm::search_affine(*req.spec, req.machine, input_proto(req), opts);

@@ -5,11 +5,13 @@
 //
 //   submit() ── cache hit ──────────────────────────▶ ready future
 //        │
-//        └─ miss ─▶ BoundedQueue (backpressure: full ⇒ kRejected +
-//                   retry_after) ─▶ dispatcher thread drains a batch,
-//                   dedups identical cache keys, and fans the batch out
-//                   across a sched::Scheduler worker pool ─▶ promises
-//                   fulfilled, exhausted results memoized.
+//        └─ miss ─▶ admission (bounded: queue_capacity admitted and
+//                   unanswered, else kRejected + retry_after)
+//                   ├─ duplicate of a running miss ─▶ parked on it
+//                   └─ otherwise ─▶ one sched::Scheduler root ─▶ oracle
+//                      on the first free worker ─▶ its promise and its
+//                      parked duplicates' fulfilled, converged results
+//                      memoized.
 //
 // Deadlines: every request may carry one.  A tune that reaches its
 // deadline is not failed — the autotuner's cancel hook (fm/search.hpp)
@@ -19,8 +21,8 @@
 // point (the serial end is found almost immediately), and more budget
 // buys a better one.
 //
-// Shutdown is graceful: new submits are rejected, everything already
-// admitted is drained and answered, then workers stop.
+// Shutdown is graceful: new submits are rejected and everything already
+// admitted is answered; the worker pool stops with the Service.
 #pragma once
 
 #include <atomic>
@@ -32,14 +34,12 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "sched/scheduler.hpp"
 #include "serve/cache.hpp"
 #include "serve/metrics.hpp"
-#include "serve/queue.hpp"
 #include "serve/request.hpp"
 
 namespace harmony::analyze {
@@ -49,23 +49,20 @@ struct ExecWitness;  // analyze/exec.hpp
 namespace harmony::serve {
 
 struct ServiceConfig {
-  /// Scheduler worker pool size (the dispatcher doubles as worker 0
-  /// while a batch is running).  Tunes fork their enumeration grains
-  /// into this same pool, so batch-level and search-level parallelism
-  /// share one set of deques.
+  /// Scheduler pool threads.  Each admitted miss runs as one root on
+  /// this pool, and tunes fork their enumeration grains into the same
+  /// pool, so request-level and search-level parallelism share one set
+  /// of deques.
   unsigned num_workers = 4;
   /// Service-level cap on fork-join lanes a single tune may claim
   /// (Request::tune_workers is clamped to this).  0 means num_workers.
   unsigned max_tune_workers = 0;
+  /// Bound on admitted and not yet answered misses (running, waiting
+  /// for a worker, or parked on a running duplicate); a miss beyond it
+  /// is rejected with retry_after.  Cache hits never count.
   std::size_t queue_capacity = 1024;
   std::size_t cache_capacity = 4096;
   std::size_t cache_shards = 8;
-  /// Requests drained per dispatch round; duplicates within a batch
-  /// execute once.
-  std::size_t max_batch = 32;
-  /// How long the dispatcher lingers for stragglers when a drained
-  /// batch is not yet full.
-  std::chrono::microseconds batch_linger{50};
   /// Applied when Request::deadline is zero; zero here means no
   /// deadline at all.
   std::chrono::nanoseconds default_deadline{0};
@@ -95,8 +92,8 @@ class Service {
   /// submit() + wait.
   [[nodiscard]] Response call(Request req);
 
-  /// Rejects new work, drains everything admitted, joins the
-  /// dispatcher.  Idempotent; called by the destructor.
+  /// Rejects new work and waits until everything admitted is answered.
+  /// Idempotent; called by the destructor.
   void shutdown();
 
   /// Warm-start hook (snapshot restore, DESIGN.md §17): seeds the
@@ -123,6 +120,10 @@ class Service {
     Request req;
     CacheKey key;
     bool use_cache = false;
+    /// Shares one oracle run with its duplicates (cacheable, and not a
+    /// deadline tune).  A spawned request with it set owns the in-flight
+    /// entry for `key`; duplicates admitted while it runs park there.
+    bool coalesce = false;
     Clock::time_point enqueued;
     Clock::time_point deadline;  ///< meaningful when has_deadline
     bool has_deadline = false;
@@ -130,13 +131,15 @@ class Service {
     /// (admit → queue_wait → cache_probe → execute → reply).
     std::uint64_t rid = 0;
     /// trace::now_ns() at admission when tracing; 0 otherwise.  The
-    /// queue-wait span begins here and ends on the dispatcher.
+    /// queue-wait span begins here and ends when a worker starts it.
     std::uint64_t enqueue_ns = 0;
     std::promise<Response> promise;
   };
 
-  void dispatch_loop();
-  void run_group(std::vector<std::unique_ptr<Pending>>& group);
+  /// One admitted miss, run as a scheduler root: re-probe the cache, run
+  /// the oracle, memoize, then answer it and every duplicate parked on
+  /// its in-flight entry.
+  void run_request(Pending& leader);
   [[nodiscard]] Response execute(const Pending& p);
   /// kTune with strategy == kAnneal / kBeam: fm::search_table over the
   /// TableMap space, with the same service-owned scheduler / compile
@@ -173,8 +176,9 @@ class Service {
       std::uint64_t home_fp);
   /// The compile cache's general entry point: probe by key, else run
   /// `compile` — with in-flight coalescing, so concurrent misses on one
-  /// key run a single compile and the duplicates wait on the first
-  /// (mirrors the dispatcher's duplicate-coalescing for tunes).  Both
+  /// key run a single compile and the duplicates block on the first
+  /// (they need the tables to go on with their own request, unlike
+  /// parked request duplicates, which need only the answer).  Both
   /// single-spec tunes (compiled_for) and per-stage pipeline compiles
   /// route through here.
   [[nodiscard]] std::shared_ptr<const fm::CompiledSpec> compiled_cached(
@@ -214,13 +218,23 @@ class Service {
   std::mutex spec_fp_mu_;
   std::unordered_map<const fm::FunctionSpec*, SpecFp> spec_fps_;
   ResultCache cache_;
-  BoundedQueue<std::unique_ptr<Pending>> queue_;
-  sched::Scheduler scheduler_;
   Metrics metrics_;
   std::atomic<std::uint64_t> next_rid_{1};
-  std::atomic<bool> stopping_{false};
-  std::mutex shutdown_mu_;  ///< serializes dispatcher join
-  std::thread dispatcher_;
+  /// Admission state: the stop flag, the admitted-and-unanswered count
+  /// (bounded by queue_capacity; shutdown() waits on idle_cv_ for it to
+  /// reach 0) and the in-flight request map.
+  std::mutex admit_mu_;
+  std::condition_variable idle_cv_;
+  bool stopping_ = false;
+  std::size_t admitted_ = 0;
+  /// Duplicates parked on a running miss, by cache key.  An entry exists
+  /// exactly while its leader runs; the leader erases it after storing
+  /// its result, so a later duplicate hits the cache instead.
+  std::unordered_map<CacheKey, std::vector<std::unique_ptr<Pending>>,
+                     CacheKeyHash>
+      inflight_;
+  /// Spawned requests no worker has started yet (queue_depth).
+  std::atomic<std::size_t> waiting_{0};
   /// LRU cache of CompiledSpecs shared across tunes (front = freshest).
   /// Guarded by its own mutex: probes are cheap, and compiles happen
   /// *outside* the lock so one slow compile never stalls the pool.
@@ -233,6 +247,9 @@ class Service {
   /// returns, so the map stays empty at rest.
   std::unordered_map<CacheKey, std::shared_ptr<InflightCompile>, CacheKeyHash>
       compile_inflight_;
+  /// Declared last, so it is destroyed first: ~Scheduler joins the
+  /// workers while every member a running root touches still exists.
+  sched::Scheduler scheduler_;
 };
 
 }  // namespace harmony::serve

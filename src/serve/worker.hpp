@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "serve/catalog.hpp"
+#include "serve/queue.hpp"
 #include "serve/service.hpp"
 #include "serve/snapshot.hpp"
 #include "serve/wire.hpp"

@@ -78,7 +78,8 @@ struct Event {
 /// Records a completed span with explicit endpoints.  Used directly when
 /// the endpoints were measured at different places (e.g. the serving
 /// queue-wait span begins on the submitting thread and ends on the
-/// dispatcher); prefer the RAII Span for same-thread intervals.
+/// worker that starts the request); prefer the RAII Span for
+/// same-thread intervals.
 void emit_span(const char* cat, const char* name, std::uint64_t begin_ns,
                std::uint64_t end_ns, std::uint64_t id = 0,
                std::uint64_t arg0 = 0, std::uint64_t arg1 = 0);
@@ -87,7 +88,7 @@ void emit_span(const char* cat, const char* name, std::uint64_t begin_ns,
 void emit_counter(const char* cat, const char* name, std::uint64_t value);
 
 /// Names the calling thread in captures and exports ("sched-w3",
-/// "serve-dispatch", ...).  Cheap; callable whether or not a session is
+/// "serve-router", ...).  Cheap; callable whether or not a session is
 /// active (the name outlives sessions).
 void set_thread_name(std::string name);
 

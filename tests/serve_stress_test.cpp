@@ -76,8 +76,6 @@ TEST(ServeStress, MixedTrafficManyClientsTinyCache) {
   cfg.queue_capacity = 256;
   cfg.cache_capacity = 8;  // force constant eviction churn
   cfg.cache_shards = 2;
-  cfg.max_batch = 16;
-  cfg.batch_linger = 100us;
   Service svc(cfg);
 
   const Workload load(6);
@@ -182,11 +180,9 @@ TEST(ServeStress, CompileStampedeCoalescesToOneMiss) {
   // used to each run fm::compile_spec and each record a miss.  In-flight
   // coalescing must collapse the stampede: one leader compiles, the
   // duplicates wait on it, and exactly one miss is recorded no matter
-  // how the batch interleaves.
+  // how the eight concurrent requests interleave.
   ServiceConfig cfg;
   cfg.num_workers = 4;
-  cfg.max_batch = 32;
-  cfg.batch_linger = 5ms;  // let every request land in one batch
   Service svc(cfg);
 
   // A deliberately expensive compile — big domain, 64-PE machine, so
@@ -208,7 +204,7 @@ TEST(ServeStress, CompileStampedeCoalescesToOneMiss) {
     req.inputs = {InputPlacement::dram(), InputPlacement::dram()};
     req.search.space.time_coeffs = {1};
     req.search.space.space_coeffs = {0, 1};
-    // Distinct top_k => distinct *result* cache keys (no batch dedup,
+    // Distinct top_k => distinct *result* cache keys (no coalescing,
     // every request runs its own oracle), while the *compile* key —
     // which ignores search knobs — is identical across all of them.
     req.search.top_k = static_cast<std::size_t>(i + 1);
@@ -229,7 +225,6 @@ TEST(ServeStress, ShutdownMidStreamDrainsAdmittedWork) {
   ServiceConfig cfg;
   cfg.num_workers = 2;
   cfg.queue_capacity = 64;
-  cfg.max_batch = 8;
   Service svc(cfg);
 
   const Workload load(3);

@@ -19,6 +19,7 @@
 #include "fm/strategy/strategy.hpp"
 #include "fm/strategy/table_map.hpp"
 #include "serve/cache.hpp"
+#include "serve/catalog.hpp"
 #include "serve/metrics.hpp"
 #include "serve/queue.hpp"
 #include "serve/request.hpp"
@@ -100,57 +101,6 @@ TEST(BoundedQueue, BackpressureAndDrain) {
   EXPECT_TRUE(q.pop(v));
   EXPECT_EQ(v, 3);
   EXPECT_FALSE(q.pop(v));  // closed and drained
-}
-
-TEST(BoundedQueue, PopBatchTakesUpToMax) {
-  BoundedQueue<int> q(8);
-  for (int i = 0; i < 5; ++i) ASSERT_TRUE(q.try_push(i));
-  std::vector<int> batch;
-  ASSERT_TRUE(q.pop_batch(batch, 3, 0us));
-  EXPECT_EQ(batch, (std::vector<int>{0, 1, 2}));
-  batch.clear();
-  ASSERT_TRUE(q.pop_batch(batch, 8, 0us));
-  EXPECT_EQ(batch, (std::vector<int>{3, 4}));
-  q.close();
-  batch.clear();
-  EXPECT_FALSE(q.pop_batch(batch, 8, 0us));
-}
-
-TEST(BoundedQueue, PopBatchLingerIsADeadlineNotPerArrivalBudget) {
-  // Regression: pop_batch used to restart the full linger budget on the
-  // wait after the first take.  With a straggler trickle slower than
-  // the batch fills, a restarting budget keeps the popper lingering
-  // round after round; a deadline fixed on entry returns as soon as the
-  // budget elapses.  Feed one item immediately, then a straggler every
-  // 25ms: a 150ms linger must return in ~150ms with only the stragglers
-  // that arrived inside the window, not wait for the batch to fill.
-  BoundedQueue<int> q(64);
-  ASSERT_TRUE(q.try_push(0));
-
-  std::vector<int> batch;
-  std::chrono::steady_clock::duration elapsed{};
-  std::thread popper([&] {
-    const auto t0 = std::chrono::steady_clock::now();
-    ASSERT_TRUE(q.pop_batch(batch, /*max_items=*/16, /*linger=*/150ms));
-    elapsed = std::chrono::steady_clock::now() - t0;
-  });
-  std::thread feeder([&] {
-    for (int i = 1; i <= 20; ++i) {
-      std::this_thread::sleep_for(25ms);
-      if (!q.try_push(i)) break;  // queue closed by test end
-    }
-  });
-  popper.join();
-  // Latency is bounded by the linger deadline (plus scheduling slack),
-  // even though stragglers keep arriving past it.
-  EXPECT_LT(elapsed, 400ms);
-  // It genuinely lingered: more than the first item + first straggler
-  // (a single-wait-round implementation returns with 2)...
-  EXPECT_GE(batch.size(), 3u);
-  // ...but stopped at the deadline instead of collecting all 16.
-  EXPECT_LT(batch.size(), 16u);
-  q.close();
-  feeder.join();
 }
 
 TEST(BoundedQueue, CloseWakesBlockedPopper) {
@@ -789,26 +739,57 @@ TEST(Service, SubmitAfterShutdownIsRejectedWithRetryAfter) {
 }
 
 TEST(Service, BatchedDuplicatesExecuteOnceAndAllWaitersAnswered) {
+  // Eight identical tunes, no deadlines, submitted back to back.  Every
+  // interleaving ends with one oracle run: a duplicate admitted while
+  // the first runs is parked on it, one admitted after the result is
+  // stored hits the cache (in submit or in its own leader's re-probe).
   ServiceConfig cfg;
   cfg.num_workers = 2;
-  cfg.max_batch = 16;
-  cfg.batch_linger = 2ms;
   Service svc(cfg);
 
-  const Request req = editdist_cost_request(10, 10);
+  Request req = editdist_cost_request(10, 10);
+  req.kind = RequestKind::kTune;
   std::vector<std::future<Response>> futs;
-  for (int i = 0; i < 12; ++i) futs.push_back(svc.submit(req));
+  for (int i = 0; i < 8; ++i) futs.push_back(svc.submit(req));
   std::size_t hits = 0;
   for (auto& f : futs) {
     const Response r = f.get();
     ASSERT_TRUE(r.ok()) << r.error;
+    ASSERT_TRUE(r.search.found);
     hits += r.cache_hit ? 1 : 0;
   }
-  // Whatever the batching raced to, the oracle ran at most a handful of
-  // times for 12 identical requests (dedup + memoization).
-  const CacheStats st = svc.cache_stats();
-  EXPECT_GE(hits + st.hits, 1u);
-  EXPECT_EQ(svc.metrics().completed, 12u);
+  const MetricsSnapshot snap = svc.metrics();
+  EXPECT_EQ(snap.tunes, 1u);
+  EXPECT_EQ(hits, 7u);
+  EXPECT_EQ(snap.completed, 8u);
+}
+
+TEST(Service, CheapMissIsAnsweredWhileATuneHoldsAWorker) {
+  // A miss waits only for a free worker, never for another request: a
+  // cost eval submitted while a long tune runs is answered before it.
+  ServiceConfig cfg;
+  cfg.num_workers = 4;
+  Service svc(cfg);
+
+  SpecCatalog catalog;
+  WireRequest w;
+  w.kind = RequestKind::kTune;
+  w.spec = "matmul:6";
+  w.machine_cols = w.machine_rows = 7;
+  w.tune_workers = 1;  // one lane: about 56 ms serially
+  std::future<Response> slow = svc.submit(to_request(w, catalog));
+  // Wait until a worker has started the tune, then a little longer so
+  // the cost eval arrives well after it.
+  while (svc.metrics().queue_depth != 0) std::this_thread::yield();
+  std::this_thread::sleep_for(5ms);
+
+  std::future<Response> cheap = svc.submit(editdist_cost_request(8, 8));
+  const Response r = cheap.get();
+  EXPECT_EQ(slow.wait_for(0s), std::future_status::timeout)
+      << "the cost eval was answered only after the tune";
+  ASSERT_TRUE(r.ok()) << r.error;
+  EXPECT_FALSE(r.cache_hit);
+  ASSERT_TRUE(slow.get().ok());
 }
 
 TEST(Service, SpecFingerprintMemoForgetsASpecWhoseOwnerIsGone) {

@@ -644,7 +644,7 @@ TEST(TraceServe, RequestLifecycleSpansAreStitchedByRequestId) {
     // Second call: cache fast path -> admit span flagged as a hit.
     const serve::Response r2 = svc.call(req);
     EXPECT_TRUE(r2.cache_hit);
-    // ~Service joins dispatcher + workers before capture.
+    // ~Service joins the workers before capture.
   }
   session.stop();
   const Capture cap = session.capture();
@@ -678,8 +678,6 @@ TEST(TraceServe, RequestLifecycleSpansAreStitchedByRequestId) {
         return e.id != rid && e.arg0 == 1;
       });
   EXPECT_TRUE(saw_hit) << "cache-hit admit span missing";
-  // Exactly one batch span carried the work (one miss -> one batch).
-  EXPECT_GE(spans_named(cap, "serve", "batch").size(), 1u);
 }
 
 }  // namespace
