@@ -21,18 +21,23 @@
 // sharing one pre-compiled spec, confirming the lanes return the serial
 // result bit-for-bit while the wall clock drops.  Two scaling columns:
 // measured wall-clock speedup (meaningful only when the host has that
-// many hardware threads — the JSON records hardware_threads so a reader
-// can tell) and a *modeled* speedup from a WorkSpanCtx replay of the
-// exact search_lanes grain schedule (static head partition + ticketed
-// tail) with one work unit per slot — deterministic on any host, so the
-// CI scaling floor keys on it and never flakes on a small container.
+// many hardware threads — the JSON header records hardware_threads so a
+// reader can tell) and a *modeled* speedup from a WorkSpanCtx replay of
+// the exact search_lanes grain schedule (static head partition +
+// ticketed tail) with one work unit per slot — deterministic on any
+// host, so the CI scaling floor keys on it and never flakes on a small
+// container.
+//
+// Every host timing is a median over timing.hpp's alternating rounds:
+// legacy and compiled passes alternate in E22.a, serial and lane runs
+// in E22.b, and each speedup is the median of the per-round ratios.
 //
 // Flags:
 //   --smoke   shrink the kernels and the measurement window (CI's perf
 //             label runs this; the numbers are still real, just noisy)
 //   --json    print a single machine-readable JSON object instead of
 //             the ASCII tables (BENCH_e22_cost_eval.json is this output)
-#include <chrono>
+#include <array>
 #include <cstdint>
 #include <iostream>
 #include <sstream>
@@ -51,9 +56,9 @@
 #include "sched/scheduler.hpp"
 #include "sched/workspan.hpp"
 #include "support/table.hpp"
+#include "timing.hpp"
 
 using namespace harmony;
-using BenchClock = std::chrono::steady_clock;
 
 namespace {
 
@@ -139,21 +144,6 @@ struct Checksum {
   }
 };
 
-/// Runs `pass` (one sweep over the candidate list, returning its
-/// Checksum) until `min_seconds` of wall clock accumulate.
-template <typename Pass>
-void run_timed(Pass&& pass, double min_seconds, std::uint64_t& sweeps,
-               double& seconds, Checksum& sum) {
-  sweeps = 0;
-  const BenchClock::time_point t0 = BenchClock::now();
-  do {
-    sum = pass();
-    ++sweeps;
-    seconds =
-        std::chrono::duration<double>(BenchClock::now() - t0).count();
-  } while (seconds < min_seconds);
-}
-
 struct Kernel {
   std::string name;
   fm::FunctionSpec spec;
@@ -175,7 +165,8 @@ int main(int argc, char** argv) {
     std::cout << "E22: compile-once candidate evaluation — legacy oracles "
                  "vs the flat fast path\n\n";
   }
-  const double min_seconds = smoke ? 0.02 : 0.5;
+  // Per round; timing.hpp takes kReps rounds of each pass.
+  const double min_seconds = smoke ? 0.02 : 0.1;
 
   std::vector<Kernel> kernels;
   {
@@ -365,21 +356,21 @@ int main(int argc, char** argv) {
       return sum;
     };
 
-    std::uint64_t legacy_sweeps = 0, compiled_sweeps = 0;
-    double legacy_s = 0.0, compiled_s = 0.0;
     Checksum legacy_sum, compiled_sum;
-    run_timed(legacy_pass, min_seconds, legacy_sweeps, legacy_s,
-              legacy_sum);
-    run_timed(compiled_pass, min_seconds, compiled_sweeps, compiled_s,
-              compiled_sum);
+    const double n = static_cast<double>(maps.size());
+    const auto [legacy, compiled] = bench::alternate<2>(
+        {[&] {
+           return n * bench::run_timed(legacy_pass, min_seconds, legacy_sum);
+         },
+         [&] {
+           return n *
+                  bench::run_timed(compiled_pass, min_seconds, compiled_sum);
+         }});
     all_match &= legacy_sum == compiled_sum;
 
-    const double n = static_cast<double>(maps.size());
-    const double legacy_rate =
-        static_cast<double>(legacy_sweeps) * n / legacy_s;
-    const double compiled_rate =
-        static_cast<double>(compiled_sweeps) * n / compiled_s;
-    const double speedup = compiled_rate / legacy_rate;
+    const double legacy_rate = bench::median(legacy);
+    const double compiled_rate = bench::median(compiled);
+    const double speedup = bench::median_ratio(compiled, legacy);
     if (first_kernel || speedup < min_speedup) min_speedup = speedup;
     first_kernel = false;
     t.add_row({k.name, static_cast<std::int64_t>(maps.size()),
@@ -413,11 +404,26 @@ int main(int argc, char** argv) {
     // cache does for repeated tunes of the same triple.
     base.compiled = fm::compile_spec(spec, cfg, proto);
 
-    const BenchClock::time_point s0 = BenchClock::now();
-    const fm::SearchResult serial = search_affine(spec, cfg, proto, base);
-    const double serial_ms =
-        std::chrono::duration<double, std::milli>(BenchClock::now() - s0)
-            .count();
+    // Serial and each lane count alternate within every round.
+    const std::array<unsigned, 3> lane_counts = {2u, 4u, 8u};
+    sched::Scheduler pool(8);
+    fm::SearchResult serial;
+    std::array<fm::SearchResult, 3> par;
+    const auto lanes_ms = [&](std::size_t i) {
+      fm::SearchOptions opts = base;
+      opts.scheduler = &pool;
+      opts.num_workers = lane_counts[i];
+      return bench::time_ms(
+          [&] { par[i] = search_affine(spec, cfg, proto, opts); });
+    };
+    const auto ms = bench::alternate<4>(
+        {[&] {
+           return bench::time_ms(
+               [&] { serial = search_affine(spec, cfg, proto, base); });
+         },
+         [&] { return lanes_ms(0); }, [&] { return lanes_ms(1); },
+         [&] { return lanes_ms(2); }});
+    const double serial_ms = bench::median(ms[0]);
     sc.title("E22.b — precompiled search scaling, matmul " +
              std::to_string(n) + "^3 (" +
              std::to_string(serial.enumerated) + " candidates; host has " +
@@ -454,29 +460,22 @@ int main(int argc, char** argv) {
       return greedy > 0.0 ? ws.total_work() / greedy : 0.0;
     };
 
-    sched::Scheduler pool(8);
-    for (const unsigned w : {2u, 4u, 8u}) {
-      fm::SearchOptions opts = base;
-      opts.scheduler = &pool;
-      opts.num_workers = w;
-      const BenchClock::time_point p0 = BenchClock::now();
-      const fm::SearchResult par = search_affine(spec, cfg, proto, opts);
-      const double par_ms =
-          std::chrono::duration<double, std::milli>(BenchClock::now() - p0)
-              .count();
+    for (std::size_t i = 0; i < lane_counts.size(); ++i) {
+      const fm::SearchResult& p = par[i];
       const bool identical =
-          par.found == serial.found && par.best.slot == serial.best.slot &&
-          par.best.merit == serial.best.merit &&
-          par.enumerated == serial.enumerated && par.legal == serial.legal;
+          p.found == serial.found && p.best.slot == serial.best.slot &&
+          p.best.merit == serial.best.merit &&
+          p.enumerated == serial.enumerated && p.legal == serial.legal;
       all_match &= identical;
-      const double measured = par_ms > 0 ? serial_ms / par_ms : 0.0;
-      const double modeled = modeled_speedup(w);
-      if (w == 8u) {
+      const double par_ms = bench::median(ms[i + 1]);
+      const double measured = bench::median_ratio(ms[0], ms[i + 1]);
+      const double modeled = modeled_speedup(lane_counts[i]);
+      if (lane_counts[i] == 8u) {
         measured_8w = measured;
         modeled_8w = modeled;
       }
-      sc.add_row({static_cast<std::int64_t>(par.workers_used), par_ms,
-                  static_cast<double>(par.enumerated) / (par_ms / 1e3),
+      sc.add_row({static_cast<std::int64_t>(p.workers_used), par_ms,
+                  static_cast<double>(p.enumerated) / (par_ms / 1e3),
                   measured, modeled,
                   std::string(identical ? "yes" : "NO")});
     }
@@ -495,10 +494,10 @@ int main(int argc, char** argv) {
     t.print_json(ja);
     sc.print_json(jb);
     std::cout << "{\n\"bench\": \"e22_cost_eval\",\n\"smoke\": "
-              << (smoke ? "true" : "false") << ",\n\"paths_agree\": "
+              << (smoke ? "true" : "false") << ",\n"
+              << bench::host_header() << "\"paths_agree\": "
               << (all_match ? "true" : "false")
               << ",\n\"min_eval_speedup\": " << min_speedup
-              << ",\n\"hardware_threads\": " << hw_threads
               << ",\n\"modeled_speedup_8w\": " << modeled_8w
               << ",\n\"measured_speedup_8w\": " << measured_8w
               << ",\n\"eval_throughput\": " << ja.str()

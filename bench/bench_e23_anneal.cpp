@@ -27,7 +27,10 @@
 // re-scored per candidate by the full compiled oracles
 // (verify_ok + evaluate_cost).  Both passes walk the identical
 // keep-if-legal trajectory and must agree on an exact checksum; the
-// delta path must be at least 5x faster.
+// delta path must be at least 5x faster, as the median of the per-round
+// ratios over timing.hpp's alternating rounds (one round alone is at the
+// mercy of whatever else the host runs).  E23.b's elapsed times are
+// medians over the same rounds.
 //
 // Flags:
 //   --smoke   shrink the kernels and budgets (CI's perf label runs this)
@@ -52,9 +55,9 @@
 #include "fm/strategy/table_map.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
+#include "timing.hpp"
 
 using namespace harmony;
-using BenchClock = std::chrono::steady_clock;
 
 namespace {
 
@@ -71,8 +74,8 @@ fm::Mapping distributed_proto(const fm::FunctionSpec& spec,
   return proto;
 }
 
-double elapsed_ms(BenchClock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(BenchClock::now() - t0)
+double elapsed_ms(bench::Clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(bench::Clock::now() - t0)
       .count();
 }
 
@@ -117,19 +120,6 @@ struct Checksum {
     return legal == o.legal && cycles == o.cycles;
   }
 };
-
-template <typename Pass>
-void run_timed(Pass&& pass, double min_seconds, std::uint64_t& sweeps,
-               double& seconds, Checksum& sum) {
-  sweeps = 0;
-  const BenchClock::time_point t0 = BenchClock::now();
-  do {
-    sum = pass();
-    ++sweeps;
-    seconds =
-        std::chrono::duration<double>(BenchClock::now() - t0).count();
-  } while (seconds < min_seconds);
-}
 
 }  // namespace
 
@@ -197,23 +187,10 @@ int main(int argc, char** argv) {
     const fm::Mapping proto = distributed_proto(spec, cfg);
     const double deadline_ms = smoke ? 50.0 : 250.0;
 
-    // The serving layer's deadline-cut, reproduced: the exhaustive
-    // affine search gets a wall-clock budget and answers best-so-far.
-    // Default energy-delay merit throughout.
-    fm::SearchOptions so;
-    const BenchClock::time_point e0 = BenchClock::now();
-    so.cancel = [&] { return elapsed_ms(e0) >= deadline_ms; };
-    const fm::SearchResult ex = search_affine(spec, cfg, proto, so);
-    const double ex_ms = elapsed_ms(e0);
-
     fm::StrategyOptions ao;
     ao.chains = smoke ? 4 : 6;
     ao.epochs = smoke ? 24 : 96;
     ao.iters_per_epoch = smoke ? 256 : 512;
-    const BenchClock::time_point a0 = BenchClock::now();
-    const fm::StrategyResult anneal = fm::search_table(
-        spec, cfg, proto, fm::StrategyKind::kAnneal, ao);
-    const double anneal_ms = elapsed_ms(a0);
 
     // Comparison row, not a gate: the beam's depth is its generation
     // count (one move per survivor per generation), so even with twice
@@ -223,10 +200,35 @@ int main(int argc, char** argv) {
     bo.beam_width = 8;
     bo.beam_moves = 32;
     bo.epochs = smoke ? 192 : 512;
-    const BenchClock::time_point b0 = BenchClock::now();
-    const fm::StrategyResult beam = fm::search_table(
-        spec, cfg, proto, fm::StrategyKind::kBeam, bo);
-    const double beam_ms = elapsed_ms(b0);
+
+    // All three searches are deterministic; each round reruns them for
+    // its timing.
+    fm::SearchResult ex;
+    fm::StrategyResult anneal, beam;
+    const auto ms = bench::alternate<3>(
+        {[&] {
+           // The serving layer's deadline-cut, reproduced: the
+           // exhaustive affine search gets a wall-clock budget and
+           // answers best-so-far.  Default energy-delay merit
+           // throughout.
+           fm::SearchOptions so;
+           const bench::Clock::time_point e0 = bench::Clock::now();
+           so.cancel = [&] { return elapsed_ms(e0) >= deadline_ms; };
+           ex = search_affine(spec, cfg, proto, so);
+           return elapsed_ms(e0);
+         },
+         [&] {
+           return bench::time_ms([&] {
+             anneal = fm::search_table(spec, cfg, proto,
+                                       fm::StrategyKind::kAnneal, ao);
+           });
+         },
+         [&] {
+           return bench::time_ms([&] {
+             beam = fm::search_table(spec, cfg, proto,
+                                     fm::StrategyKind::kBeam, bo);
+           });
+         }});
 
     // "Beats": a strictly better mapping than the affine family's best
     // within its deadline — or a mapping at all when the affine family
@@ -244,17 +246,20 @@ int main(int argc, char** argv) {
                 ex.found ? Cell{ex.best.merit} : Cell{std::string("-")},
                 ex.found ? Cell{ex.best.cost.makespan_cycles}
                          : Cell{std::string("-")},
-                static_cast<std::int64_t>(ex.enumerated), ex_ms,
+                static_cast<std::int64_t>(ex.enumerated),
+                bench::median(ms[0]),
                 std::string(ex.exhausted ? "yes" : "cut"),
                 std::string("-")});
     tb.add_row({std::string("anneal"), anneal.merit,
                 anneal.cost.makespan_cycles,
-                static_cast<std::int64_t>(anneal.moves_tried), anneal_ms,
+                static_cast<std::int64_t>(anneal.moves_tried),
+                bench::median(ms[1]),
                 std::string(anneal.completed ? "yes" : "cut"),
                 std::string(anneal_beats ? "yes" : "NO")});
     tb.add_row({std::string("beam"), beam.merit,
                 beam.cost.makespan_cycles,
-                static_cast<std::int64_t>(beam.moves_tried), beam_ms,
+                static_cast<std::int64_t>(beam.moves_tried),
+                bench::median(ms[2]),
                 std::string(beam.completed ? "yes" : "cut"),
                 std::string(beam_beats ? "yes" : "NO")});
   }
@@ -358,25 +363,25 @@ int main(int argc, char** argv) {
       return sum;
     };
 
-    const double min_seconds = smoke ? 0.02 : 0.5;
-    std::uint64_t full_sweeps = 0, delta_sweeps = 0;
-    double full_s = 0.0, delta_s = 0.0;
+    // Per round; the two passes alternate over timing.hpp's rounds.
+    const double min_seconds = smoke ? 0.02 : 0.1;
+    const double nm = static_cast<double>(moves.size());
     Checksum full_sum, delta_sum;
-    run_timed(full_pass, min_seconds, full_sweeps, full_s, full_sum);
-    run_timed(delta_pass, min_seconds, delta_sweeps, delta_s, delta_sum);
+    const auto [full, delta] = bench::alternate<2>(
+        {[&] { return nm * bench::run_timed(full_pass, min_seconds, full_sum); },
+         [&] {
+           return nm * bench::run_timed(delta_pass, min_seconds, delta_sum);
+         }});
     paths_agree = full_sum == delta_sum;
     all_ok &= paths_agree;
 
-    const double nm = static_cast<double>(moves.size());
-    const double full_rate =
-        static_cast<double>(full_sweeps) * nm / full_s;
-    const double delta_rate =
-        static_cast<double>(delta_sweeps) * nm / delta_s;
-    delta_speedup = delta_rate / full_rate;
+    const double full_rate = bench::median(full);
+    const double delta_rate = bench::median(delta);
+    delta_speedup = bench::median_ratio(delta, full);
     all_ok &= delta_speedup >= 5.0;
     tc.title("E23.c — candidate scoring throughput: full compiled "
              "oracles vs DeltaEval on the identical trajectory "
-             "(contract: >= 5x)");
+             "(contract: median speedup >= 5x)");
     tc.add_row({"irregular_dag n=" + std::to_string(n) + " on 4x2",
                 static_cast<std::int64_t>(moves.size()), full_rate,
                 delta_rate, delta_speedup,
@@ -389,8 +394,9 @@ int main(int argc, char** argv) {
     tb.print_json(jb);
     tc.print_json(jc);
     std::cout << "{\n\"bench\": \"e23_anneal\",\n\"smoke\": "
-              << (smoke ? "true" : "false")
-              << ",\n\"anneal_matches_affine_optimum\": "
+              << (smoke ? "true" : "false") << ",\n"
+              << bench::host_header()
+              << "\"anneal_matches_affine_optimum\": "
               << (anneal_matches ? "true" : "false")
               << ",\n\"anneal_beats_deadline_exhaustive\": "
               << (anneal_beats ? "true" : "false")

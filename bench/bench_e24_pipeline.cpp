@@ -27,11 +27,13 @@
 //     input homes — the independent relational model agrees every
 //     handoff the cost model priced is legal.
 //
+// The tuners are deterministic; greedy_ms and paired_ms are medians
+// over timing.hpp's alternating rounds.
+//
 // Flags:
 //   --smoke   shrink sizes and budgets (CI's perf label runs this)
 //   --json    one machine-readable JSON object instead of ASCII tables
 //             (BENCH_e24_pipeline.json is this output)
-#include <chrono>
 #include <cstdint>
 #include <iostream>
 #include <sstream>
@@ -43,16 +45,11 @@
 #include "fm/compiled.hpp"
 #include "fm/pipeline.hpp"
 #include "support/table.hpp"
+#include "timing.hpp"
 
 using namespace harmony;
-using BenchClock = std::chrono::steady_clock;
 
 namespace {
-
-double elapsed_ms(BenchClock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(BenchClock::now() - t0)
-      .count();
-}
 
 /// ExecChecker errors summed over every committed stage winner, each
 /// replayed against the input homes the tuner actually priced it with
@@ -97,12 +94,17 @@ Outcome run_scenario(std::string name, const fm::Pipeline& pipe,
   Outcome o;
   o.name = std::move(name);
   o.stages = pipe.size();
-  const BenchClock::time_point g0 = BenchClock::now();
-  o.greedy = fm::tune_pipeline_greedy(pipe, cfg, opts);
-  o.greedy_ms = elapsed_ms(g0);
-  const BenchClock::time_point p0 = BenchClock::now();
-  o.paired = fm::tune_pipeline_paired(pipe, cfg, opts);
-  o.paired_ms = elapsed_ms(p0);
+  const auto ms = bench::alternate<2>(
+      {[&] {
+         return bench::time_ms(
+             [&] { o.greedy = fm::tune_pipeline_greedy(pipe, cfg, opts); });
+       },
+       [&] {
+         return bench::time_ms(
+             [&] { o.paired = fm::tune_pipeline_paired(pipe, cfg, opts); });
+       }});
+  o.greedy_ms = bench::median(ms[0]);
+  o.paired_ms = bench::median(ms[1]);
   o.found = o.greedy.found && o.paired.found;
   if (!o.found) return o;
   o.paired_wins = o.paired.merit < o.greedy.merit;
@@ -219,8 +221,9 @@ int main(int argc, char** argv) {
     std::ostringstream jt;
     t.print_json(jt);
     std::cout << "{\n\"bench\": \"e24_pipeline\",\n\"smoke\": "
-              << (smoke ? "true" : "false")
-              << ",\n\"scenarios\": " << outcomes.size()
+              << (smoke ? "true" : "false") << ",\n"
+              << bench::host_header()
+              << "\"scenarios\": " << outcomes.size()
               << ",\n\"paired_strict_wins\": " << wins
               << ",\n\"paired_never_loses\": "
               << (none_lose ? "true" : "false")

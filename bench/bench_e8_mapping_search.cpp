@@ -10,12 +10,9 @@
 // schedules (the DP wavefront t = i + j; the stencil's time-major scan;
 // a k-serial projection for matmul) and beats serial by ~N on time
 // while never losing on the chosen merit.
-#include <chrono>
 #include <iostream>
-#include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
 
 #include "algos/editdist.hpp"
 #include "algos/matmul.hpp"
@@ -24,10 +21,7 @@
 #include "fm/default_mapper.hpp"
 #include "fm/idioms.hpp"
 #include "fm/search.hpp"
-#include "sched/scheduler.hpp"
 #include "support/table.hpp"
-#include "trace/export.hpp"
-#include "trace/trace.hpp"
 
 using namespace harmony;
 
@@ -55,24 +49,19 @@ const char* fom_name(fm::FigureOfMerit f) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --trace out.json captures the E8.c parallel section: per-grain
-  // search spans over the worker pool, plus run/steal/sleep scheduler
-  // spans.  When absent, every event site is one relaxed atomic load.
-  // --json prints one machine-readable object (winners, Pareto front,
-  // scaling table) instead of the ASCII tables —
-  // BENCH_e8_mapping_search.json is this output.
-  const std::string trace_path = trace::trace_flag(argc, argv);
+  // --json prints one machine-readable object (winners and Pareto
+  // front) instead of the ASCII tables — BENCH_e8_mapping_search.json
+  // is this output.  Both are simulator outputs, so the file carries no
+  // host header.
   bool json = false;
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--json") json = true;
   }
-  std::optional<trace::TraceSession> session;
-  if (!trace_path.empty()) session.emplace();
 
   if (!json) {
     std::cout << "E8: autotuning space-time mappings per figure of merit\n\n";
   }
-  std::ostringstream jwinners, jpareto, jscaling;
+  std::ostringstream jwinners, jpareto;
 
   Table t({"kernel", "merit", "best_map", "enumerated", "legal", "cycles",
            "energy_nJ", "cycles_vs_serial", "cycles_vs_default"});
@@ -175,99 +164,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  // E8.c — the same search spread over the work-stealing scheduler.
-  // The enumeration is slot-numbered, so the parallel backend must
-  // return the byte-identical top-k; this section measures what the
-  // determinism costs (nothing) and what the lanes buy (wall clock).
-  if (!json) std::cout << '\n';
-  {
-    using BenchClock = std::chrono::steady_clock;
-    algos::SwScores s;
-    const auto spec = algos::editdist_spec(20, 20, s);
-    const fm::MachineConfig cfg = fm::make_machine(20, 1);
-    fm::Mapping proto;
-    for (fm::TensorId in : spec.input_tensors()) {
-      proto.set_input(in, fm::InputHome::distributed(
-                              fm::block_distribution(spec.domain(in),
-                                                     cfg.geom).place));
-    }
-    fm::SearchOptions base;
-    base.fom = fm::FigureOfMerit::kTime;
-
-    const BenchClock::time_point s0 = BenchClock::now();
-    const fm::SearchResult serial = search_affine(spec, cfg, proto, base);
-    const double serial_ms =
-        std::chrono::duration<double, std::milli>(BenchClock::now() - s0)
-            .count();
-
-    Table sc({"workers", "elapsed_ms", "speedup_vs_serial", "identical"});
-    sc.title("E8.c — parallel search scaling, editdist 20x20 (" +
-             std::to_string(serial.enumerated) + " candidates; host has " +
-             std::to_string(std::thread::hardware_concurrency()) +
-             " hardware threads)");
-    sc.add_row({std::string("serial"), serial_ms, 1.0, std::string("-")});
-
-    sched::Scheduler pool(8);
-    bool all_identical = true;
-    for (const unsigned w : {1u, 2u, 4u, 8u}) {
-      fm::SearchOptions opts = base;
-      opts.scheduler = &pool;
-      opts.num_workers = w;
-      const BenchClock::time_point p0 = BenchClock::now();
-      const fm::SearchResult par = search_affine(spec, cfg, proto, opts);
-      const double par_ms =
-          std::chrono::duration<double, std::milli>(BenchClock::now() - p0)
-              .count();
-      const bool identical =
-          par.found == serial.found && par.best.slot == serial.best.slot &&
-          par.best.merit == serial.best.merit &&
-          par.enumerated == serial.enumerated && par.legal == serial.legal;
-      all_identical &= identical;
-      sc.add_row({static_cast<std::int64_t>(par.workers_used), par_ms,
-                  par_ms > 0 ? serial_ms / par_ms : 0.0,
-                  std::string(identical ? "yes" : "NO")});
-    }
-    if (json) {
-      sc.print_json(jscaling);
-    } else {
-      sc.print(std::cout);
-    }
-    if (session) {
-      // Scope note: `pool` is still alive here, so stop() only — the
-      // capture happens after the pool's destructor joins its workers.
-      session->stop();
-    }
-    if (json) {
-      std::cout << "{\n\"bench\": \"e8_mapping_search\",\n"
-                << "\"all_identical\": "
-                << (all_identical ? "true" : "false")
-                << ",\n\"hardware_threads\": "
-                << std::thread::hardware_concurrency()
-                << ",\n\"winners\": " << jwinners.str()
-                << ",\n\"pareto_front\": " << jpareto.str()
-                << ",\n\"parallel_search\": " << jscaling.str() << "\n}\n";
-    } else {
-      std::cout << (all_identical
-                        ? "\nAll lane counts returned the serial result "
-                          "bit-for-bit; speedup tracks the host's real "
-                          "parallelism (a 1-core host honestly reports "
-                          "~1x).\n"
-                        : "\nERROR: a parallel run diverged from serial.\n");
-    }
-    if (!all_identical) return 1;
-  }
-
-  if (session) {
-    session->stop();  // idempotent; E8.c's pool is destroyed by now
-    const trace::Capture cap = session->capture();
-    trace::write_chrome_json_file(trace_path, cap);
-    std::cout << '\n';
-    trace::summary_table(trace::summarize(cap)).print(std::cout);
-    std::cout << "trace: " << cap.events.size() << " events -> " << trace_path
-              << " (open in ui.perfetto.dev)\n";
-  }
-
-  if (!json) {
+  if (json) {
+    std::cout << "{\n\"bench\": \"e8_mapping_search\",\n\"winners\": "
+              << jwinners.str() << ",\n\"pareto_front\": " << jpareto.str()
+              << "\n}\n";
+  } else {
     std::cout << "\nShape check: on the time merit the DP kernel's winner "
                  "is the wavefront (t = i + j); searched mappings dominate "
                  "serial by ~N and at least match the default mapper on "

@@ -12,10 +12,12 @@
 //   harmony-lint --pipeline=scanchain:16 --machine=4x1
 //   harmony-lint --pipeline=irregular:24,3,7 --machine=4x1 --tuner=greedy
 //
-// Specs: editdist:NxM, stencil:n,steps, conv:n_out,k_taps.
+// Specs: serve::SpecCatalog's names — editdist:NxM, stencil:N,STEPS,
+//        conv:N,K, matmul:N, irregular:N,FANIN,SEED.
 // Maps:  serial | wavefront (editdist only) | affine:ti,tj,t0,xi,xj,x0 |
 //        table (the stochastic searchers' serial seed TableMap).
 // Knobs: --pe-capacity=N, --link-bits=B, --max-diagnostics=N.
+// An argument that does not parse prints the usage and exits 2.
 //
 // --check-exec additionally replays the triple through the compiled
 // oracles' timing model into an execution witness and checks it against
@@ -32,18 +34,19 @@
 // distributed layouts the tuner actually priced the handoffs against —
 // through both the linter and ExecChecker.  Exec checking is always on
 // in this mode; that certification is the point.
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "algos/editdist.hpp"
 #include "algos/pipelines.hpp"
-#include "algos/specs.hpp"
 #include "analyze/exec.hpp"
 #include "analyze/lint.hpp"
 #include "fm/compiled.hpp"
@@ -52,6 +55,7 @@
 #include "fm/pipeline.hpp"
 #include "fm/strategy/delta.hpp"
 #include "fm/strategy/table_map.hpp"
+#include "serve/catalog.hpp"
 #include "support/table.hpp"
 
 namespace {
@@ -75,7 +79,8 @@ struct Args {
 [[noreturn]] void usage(const char* argv0) {
   std::cerr
       << "usage: " << argv0
-      << " [--spec=editdist:NxM|stencil:n,steps|conv:n,k]\n"
+      << " [--spec=editdist:NxM|stencil:N,STEPS|conv:N,K|matmul:N|"
+         "irregular:N,FANIN,SEED]\n"
          "       [--machine=CxR] [--map=serial|wavefront|affine:ti,tj,t0,"
          "xi,xj,x0|table]\n"
          "       [--pipeline=fft:N|scanchain:N|diamond:N|irregular:N,F,S]"
@@ -85,14 +90,27 @@ struct Args {
   std::exit(2);
 }
 
+/// Parses all of `s` as one number; anything else (empty, trailing
+/// text, out of range) is a usage error.
+template <typename T>
+T parse_number(const std::string& s, const char* argv0) {
+  T v{};
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (s.empty() || ec != std::errc{} || ptr != end) usage(argv0);
+  return v;
+}
+
 /// Splits "a,b,c" (or "AxB") on any of ",x" into int64 fields.
-std::vector<std::int64_t> split_ints(const std::string& s) {
+std::vector<std::int64_t> split_ints(const std::string& s,
+                                     const char* argv0) {
   std::vector<std::int64_t> out;
   std::size_t pos = 0;
   while (pos < s.size()) {
     std::size_t end = s.find_first_of(",x", pos);
     if (end == std::string::npos) end = s.size();
-    out.push_back(std::stoll(s.substr(pos, end - pos)));
+    out.push_back(
+        parse_number<std::int64_t>(s.substr(pos, end - pos), argv0));
     pos = end + 1;
   }
   return out;
@@ -127,12 +145,13 @@ Args parse_args(int argc, char** argv) {
     } else if (arg == "--check-exec") {
       a.check_exec = true;
     } else if (arg.rfind("--pe-capacity=", 0) == 0) {
-      a.pe_capacity = std::stoll(value("--pe-capacity="));
+      a.pe_capacity =
+          parse_number<std::int64_t>(value("--pe-capacity="), argv[0]);
     } else if (arg.rfind("--link-bits=", 0) == 0) {
-      a.link_bits = std::stod(value("--link-bits="));
+      a.link_bits = parse_number<double>(value("--link-bits="), argv[0]);
     } else if (arg.rfind("--max-diagnostics=", 0) == 0) {
       a.max_diagnostics =
-          static_cast<std::size_t>(std::stoll(value("--max-diagnostics=")));
+          parse_number<std::size_t>(value("--max-diagnostics="), argv[0]);
     } else {
       usage(argv[0]);
     }
@@ -153,32 +172,32 @@ int run_pipeline(const Args& args, const harmony::fm::MachineConfig& machine,
   const std::size_t colon = args.pipeline.find(':');
   if (colon == std::string::npos) usage(argv0);
   const std::string family = args.pipeline.substr(0, colon);
-  const auto dims = split_ints(args.pipeline.substr(colon + 1));
+  const auto dims = split_ints(args.pipeline.substr(colon + 1), argv0);
 
   fm::Pipeline pipe;
   fm::PipelineOptions opts;
-  if (family == "fft" && dims.size() == 1) {
-    pipe = algos::fft_shuffle_fft_pipeline(dims[0]);
-  } else if (family == "scanchain" && dims.size() == 1) {
-    pipe = algos::scan_filter_scan_pipeline(dims[0]);
-  } else if (family == "diamond" && dims.size() == 1) {
-    pipe = algos::diamond_pipeline(dims[0]);
-  } else if (family == "irregular" && dims.size() == 3) {
-    pipe = algos::irregular_chain_pipeline(
-        dims[0], static_cast<int>(dims[1]),
-        static_cast<std::uint64_t>(dims[2]));
-    // Irregular dependence defeats the affine family; tune the chain
-    // with the anneal strategy on a modest, deterministic budget.
-    opts.strategy = fm::StrategyKind::kAnneal;
-    opts.strategy_opts.chains = 2;
-    opts.strategy_opts.epochs = 12;
-    opts.strategy_opts.iters_per_epoch = 96;
-  } else {
-    usage(argv0);
-  }
-
   fm::PipelineResult result;
   try {
+    // The builders reject sizes they cannot take (an FFT of 0 points).
+    if (family == "fft" && dims.size() == 1) {
+      pipe = algos::fft_shuffle_fft_pipeline(dims[0]);
+    } else if (family == "scanchain" && dims.size() == 1) {
+      pipe = algos::scan_filter_scan_pipeline(dims[0]);
+    } else if (family == "diamond" && dims.size() == 1) {
+      pipe = algos::diamond_pipeline(dims[0]);
+    } else if (family == "irregular" && dims.size() == 3) {
+      pipe = algos::irregular_chain_pipeline(
+          dims[0], static_cast<int>(dims[1]),
+          static_cast<std::uint64_t>(dims[2]));
+      // Irregular dependence defeats the affine family; tune the chain
+      // with the anneal strategy on a modest, deterministic budget.
+      opts.strategy = fm::StrategyKind::kAnneal;
+      opts.strategy_opts.chains = 2;
+      opts.strategy_opts.epochs = 12;
+      opts.strategy_opts.iters_per_epoch = 96;
+    } else {
+      usage(argv0);
+    }
     result = args.paired ? fm::tune_pipeline_paired(pipe, machine, opts)
                          : fm::tune_pipeline_greedy(pipe, machine, opts);
   } catch (const std::exception& e) {
@@ -270,14 +289,17 @@ int run_pipeline(const Args& args, const harmony::fm::MachineConfig& machine,
 
 int main(int argc, char** argv) {
   namespace fm = harmony::fm;
-  namespace algos = harmony::algos;
   namespace analyze = harmony::analyze;
 
   const Args args = parse_args(argc, argv);
 
   // ---- machine -------------------------------------------------------
-  const auto mdims = split_ints(args.machine);
-  if (mdims.size() != 2 || mdims[0] < 1 || mdims[1] < 1) usage(argv[0]);
+  const auto mdims = split_ints(args.machine, argv[0]);
+  constexpr std::int64_t kMaxSide = std::numeric_limits<int>::max();
+  if (mdims.size() != 2 || mdims[0] < 1 || mdims[1] < 1 ||
+      mdims[0] > kMaxSide || mdims[1] > kMaxSide) {
+    usage(argv[0]);
+  }
   fm::MachineConfig machine = fm::make_machine(static_cast<int>(mdims[0]),
                                                static_cast<int>(mdims[1]));
   if (args.pe_capacity) machine.pe_capacity_values = *args.pe_capacity;
@@ -287,35 +309,18 @@ int main(int argc, char** argv) {
   if (!args.pipeline.empty()) return run_pipeline(args, machine, argv[0]);
 
   // ---- spec ----------------------------------------------------------
-  const std::size_t colon = args.spec.find(':');
-  if (colon == std::string::npos) usage(argv[0]);
-  const std::string family = args.spec.substr(0, colon);
-  const auto dims = split_ints(args.spec.substr(colon + 1));
-
-  fm::FunctionSpec spec;
-  fm::TensorId computed = -1;
-  std::vector<fm::TensorId> inputs;
-  std::int64_t n_cols = 0;  // for the wavefront map
-  if (family == "editdist" && dims.size() == 2) {
-    fm::TensorId rt = -1, qt = -1, ht = -1;
-    spec = algos::editdist_spec(dims[0], dims[1], algos::SwScores{}, &rt,
-                                &qt, &ht);
-    computed = ht;
-    inputs = {rt, qt};
-    n_cols = dims[1];
-  } else if (family == "stencil" && dims.size() == 2) {
-    algos::StencilSpecIds ids;
-    spec = algos::stencil1d_spec(dims[0], dims[1], &ids);
-    computed = ids.u;
-    inputs = {ids.input};
-  } else if (family == "conv" && dims.size() == 2) {
-    algos::ConvSpecIds ids;
-    spec = algos::conv1d_spec(dims[0], dims[1], &ids);
-    computed = ids.y;
-    inputs = {ids.x, ids.w};
-  } else {
+  // Named in the wire tier's grammar: the catalog builds every family
+  // serve does, and each has exactly one computed tensor.
+  std::shared_ptr<const fm::FunctionSpec> named;
+  try {
+    named = harmony::serve::SpecCatalog().spec(args.spec);
+  } catch (const std::exception& e) {
+    std::cerr << "harmony-lint: --spec: " << e.what() << "\n";
     usage(argv[0]);
   }
+  const fm::FunctionSpec& spec = *named;
+  const fm::TensorId computed = spec.computed_tensors().front();
+  const std::vector<fm::TensorId> inputs = spec.input_tensors();
 
   // ---- mapping -------------------------------------------------------
   fm::Mapping mapping;
@@ -345,18 +350,18 @@ int main(int argc, char** argv) {
     }
     mapping = fm::to_mapping(spec, *table);
   } else if (args.map == "wavefront") {
-    if (family != "editdist") {
+    if (args.spec.rfind("editdist:", 0) != 0) {
       std::cerr << "harmony-lint: --map=wavefront needs --spec=editdist\n";
       return 2;
     }
-    const fm::WavefrontMap wf =
-        fm::wavefront_map(n_cols, machine.geom.cols());
+    const fm::WavefrontMap wf = fm::wavefront_map(
+        spec.domain(computed).extent(1), machine.geom.cols());
     mapping.set_computed(computed, wf.place_fn(), wf.time_fn());
     for (const fm::TensorId t : inputs) {
       mapping.set_input(t, fm::InputHome::at({0, 0}));
     }
   } else if (args.map.rfind("affine:", 0) == 0) {
-    const auto c = split_ints(args.map.substr(7));
+    const auto c = split_ints(args.map.substr(7), argv[0]);
     if (c.size() != 6) usage(argv[0]);
     fm::AffineMap am;
     am.ti = c[0];

@@ -27,16 +27,17 @@
 #      coalescing/stealing/drain against live worker threads) plus the
 #      stress test under ThreadSanitizer;
 #   5. perf    — smoke runs of the compiled-evaluation, stochastic-
-#      search, pipeline-tuning, and distributed-serving benchmarks
-#      (bench_e22 + bench_e23 + bench_e24 + bench_e25, ctest -L perf):
-#      fails if the fast path's reports diverge from the legacy
-#      oracles, a parallel search diverges from serial, the anneal
-#      misses the affine optimum, the delta-eval speedup contract
-#      breaks, the co-optimizing pipeline tuner loses to the greedy
-#      baseline / fails certification, any open-loop serve request
-#      errors, or the snapshot warm-restart contract breaks; then 2 s
-#      perfbench runs of hot_hits and cold_tunes (the BENCHMARK.json
-#      workloads), which fail on any wrong reply.
+#      search and pipeline-tuning benchmarks (bench_e22 + bench_e23 +
+#      bench_e24) and the shard-scaling gtest (ctest -L perf): fails if
+#      the fast path's reports diverge from the legacy oracles, a
+#      parallel search diverges from serial, the anneal misses the
+#      affine optimum, the median delta-eval speedup drops below its
+#      contract, the co-optimizing pipeline tuner loses to the greedy
+#      baseline / fails certification, or any open-loop request to a 1-
+#      or 4-shard fleet is answered other than kOk; then 2 s perfbench
+#      runs of hot_hits, cold_tunes (the BENCHMARK.json workloads) and
+#      mixed_fleet (a multi-shard fleet serving fresh misses, duplicate
+#      tunes and byte-checked hits), which fail on any wrong reply.
 #
 # Usage:
 #   scripts/check.sh                         # all stages
@@ -112,11 +113,11 @@ run_perf() {
   # floor: modeled >= 2x at 8 workers always (deterministic work-span
   # replay of the grain schedule, DESIGN.md §15), measured >= 2x only
   # when the host has >= 8 hardware threads.
-  echo "== perf: compiled-eval + stochastic-search + pipeline +" \
-       "distributed-serve bench smoke ==" &&
+  echo "== perf: compiled-eval + stochastic-search + pipeline bench" \
+       "smoke + shard scaling ==" &&
   cmake -B build -S . &&
   cmake --build build -j --target bench_e22_cost_eval bench_e23_anneal \
-    bench_e24_pipeline bench_e25_distributed &&
+    bench_e24_pipeline shard_scaling_test &&
   ctest --test-dir build --output-on-failure -L perf &&
   # perfbench (BENCHMARK.json's command) builds its own Release tree in
   # .bench_build and exits non-zero on any wrong reply, so a short run of
@@ -124,6 +125,8 @@ run_perf() {
   python3 perfbench/run.py --workload hot_hits --seed 1 --seconds 2 \
     --trace 0 &&
   python3 perfbench/run.py --workload cold_tunes --seed 1 --seconds 2 \
+    --trace 0 &&
+  python3 perfbench/run.py --workload mixed_fleet --seed 1 --seconds 2 \
     --trace 0
 }
 

@@ -1,5 +1,6 @@
 #include "serve/catalog.hpp"
 
+#include <charconv>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -12,8 +13,9 @@ namespace harmony::serve {
 namespace {
 
 /// Splits "a,b,c" / "AxB" style dimension lists.  Throws on anything
-/// that is not a plain decimal integer — catalog names come off the
-/// wire, so parsing must be as strict as the frame decoder.
+/// that is not a plain decimal integer that fits in int64 — catalog
+/// names come off the wire, so parsing must be as strict as the frame
+/// decoder.
 std::vector<std::int64_t> parse_dims(const std::string& s, char sep,
                                      const std::string& name) {
   std::vector<std::int64_t> dims;
@@ -23,12 +25,15 @@ std::vector<std::int64_t> parse_dims(const std::string& s, char sep,
     const std::string tok =
         s.substr(pos, next == std::string::npos ? std::string::npos
                                                 : next - pos);
-    if (tok.empty() || tok.find_first_not_of("0123456789") !=
-                           std::string::npos) {
+    std::int64_t dim = 0;
+    if (tok.empty() ||
+        tok.find_first_not_of("0123456789") != std::string::npos ||
+        std::from_chars(tok.data(), tok.data() + tok.size(), dim).ec !=
+            std::errc{}) {
       throw WireError("SpecCatalog: bad dimension '" + tok + "' in '" +
                       name + "'");
     }
-    dims.push_back(std::stoll(tok));
+    dims.push_back(dim);
     if (next == std::string::npos) break;
     pos = next + 1;
   }

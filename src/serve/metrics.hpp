@@ -86,8 +86,8 @@ struct MetricsSnapshot {
   double p50_us = 0.0;
   double p95_us = 0.0;
   double p99_us = 0.0;
-  /// Tail percentile the saturation bench (E25) tracks; a knee shows
-  /// here one sweep step before it reaches p99.
+  /// Tail percentile beyond p99: under a rising open-loop load a
+  /// saturation knee shows here before it reaches p99.
   double p999_us = 0.0;
   /// Raw latency-bucket counts (LatencyHistogram convention), exported
   /// so a fronting router can merge shard histograms losslessly.

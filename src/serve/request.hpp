@@ -110,15 +110,14 @@ struct Request {
   /// with (fm::PipelineOptions::pair_candidates).
   std::size_t pipeline_pair_candidates = 4;
   /// kTune: fork-join lanes this tune may spread over on the service's
-  /// shared scheduler.  0 means "up to the service cap"
-  /// (ServiceConfig::max_tune_workers); nonzero is clamped to that cap.
+  /// shared scheduler.  0 means one per scheduler worker
+  /// (ServiceConfig::num_workers); nonzero is clamped to that count.
   /// Excluded from the cache key — the parallel merge is deterministic,
   /// so lane count never changes the answer.
   unsigned tune_workers = 0;
-  /// Per-request completion deadline; zero means "use the service
-  /// default" (which may itself be none).  A tune that reaches its
-  /// deadline answers with the autotuner's best-so-far frontier
-  /// (Response::deadline_cut) instead of failing.
+  /// Per-request completion deadline; zero means none.  A tune that
+  /// reaches its deadline answers with the autotuner's best-so-far
+  /// frontier (Response::deadline_cut) instead of failing.
   std::chrono::nanoseconds deadline{0};
 };
 

@@ -41,12 +41,15 @@ void Router::submit(const WireRequest& req, Callback on_reply) {
   std::uint64_t id = 0;
   std::shared_ptr<Channel> channel;
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::unique_lock<std::mutex> lock(mu_);
     if (shutdown_ || shards_.empty()) {
       WireResponse r;
       r.status = static_cast<std::uint8_t>(Status::kRejected);
       r.error = shards_.empty() ? "router has no shards"
                                 : "router shutting down";
+      // The callback may re-enter the router (stats(), a retry), so it
+      // runs after the lock is released, as in finish_ask.
+      lock.unlock();
       on_reply(r);
       return;
     }

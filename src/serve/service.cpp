@@ -114,11 +114,9 @@ std::future<Response> Service::submit(Request req) {
     }
   }
 
-  const std::chrono::nanoseconds budget =
-      p->req.deadline.count() > 0 ? p->req.deadline : cfg_.default_deadline;
-  if (budget.count() > 0) {
+  if (p->req.deadline.count() > 0) {
     p->has_deadline = true;
-    p->deadline = now + budget;
+    p->deadline = now + p->req.deadline;
   }
   // Duplicates share one oracle run, except deadline-carrying tunes: two
   // waiters with different budgets deserve different frontiers.
@@ -153,7 +151,7 @@ std::future<Response> Service::submit(Request req) {
     r.status = Status::kRejected;
     r.kind = p->req.kind;
     r.error = reject;
-    r.retry_after = cfg_.retry_after;
+    r.retry_after = kRetryAfter;
     metrics_.on_reject();
     ready.set_value(std::move(r));
     return fut;
@@ -273,14 +271,10 @@ Response Service::execute(const Pending& p) {
         opts.compiled = compiled;
         // Fork enumeration grains into the service's shared pool.  This
         // request is already a root on that pool, so the search forks
-        // inline (Scheduler::run); the per-request lane ask is clamped
-        // by the service-level cap.
+        // inline (Scheduler::run); the search clamps the per-request
+        // lane ask to the pool.
         opts.scheduler = &scheduler_;
-        const unsigned cap = cfg_.max_tune_workers == 0
-                                 ? cfg_.num_workers
-                                 : cfg_.max_tune_workers;
-        opts.num_workers =
-            req.tune_workers == 0 ? cap : std::min(req.tune_workers, cap);
+        opts.num_workers = req.tune_workers;
         if (p.has_deadline) {
           // The parallel backend polls cancel once per grain, so a
           // deadline tune runs single-slot grains: the overshoot past
@@ -334,18 +328,15 @@ void Service::execute_strategy_tune(const Pending& p, Response& r) {
   fm::StrategyOptions opts = req.strategy_opts;
   opts.fom = req.fom;
   // Same service-owned execution plumbing as the exhaustive path: the
-  // shared compile cache, the shared scheduler with the tune lane cap,
-  // and a deadline cancel chained over any caller-supplied hook.  The
-  // anneal/beam drivers poll cancel per epoch and hand back the best
-  // table found so far, so a deadline cut still answers with a legal
-  // mapping (Response::deadline_cut).
+  // shared compile cache, the shared scheduler with the per-request
+  // lane ask, and a deadline cancel chained over any caller-supplied
+  // hook.  The anneal/beam drivers poll cancel per epoch and hand back
+  // the best table found so far, so a deadline cut still answers with a
+  // legal mapping (Response::deadline_cut).
   const std::shared_ptr<const fm::CompiledSpec> compiled = compiled_for(req);
   opts.compiled = compiled;
   opts.scheduler = &scheduler_;
-  const unsigned cap =
-      cfg_.max_tune_workers == 0 ? cfg_.num_workers : cfg_.max_tune_workers;
-  opts.num_workers =
-      req.tune_workers == 0 ? cap : std::min(req.tune_workers, cap);
+  opts.num_workers = req.tune_workers;
   if (p.has_deadline) {
     const Clock::time_point cutoff = p.deadline - cfg_.deadline_margin;
     opts.cancel = [cutoff, user = req.strategy_opts.cancel] {
@@ -378,15 +369,12 @@ void Service::execute_pipeline_tune(const Pending& p, Response& r) {
   opts.strategy_opts = req.strategy_opts;
   opts.pair_candidates = req.pipeline_pair_candidates;
   // Same execution plumbing as single-spec tunes: the shared scheduler
-  // with the tune lane cap, per-stage compiles through the coalescing
-  // compile cache, and a deadline cancel chained over any caller hook —
-  // the pipeline tuner polls it between stages, between probes, and
-  // inside every stage search, so a cut answers best-so-far.
+  // with the per-request lane ask, per-stage compiles through the
+  // coalescing compile cache, and a deadline cancel chained over any
+  // caller hook — the pipeline tuner polls it between stages, between
+  // probes, and inside every stage search, so a cut answers best-so-far.
   opts.scheduler = &scheduler_;
-  const unsigned cap =
-      cfg_.max_tune_workers == 0 ? cfg_.num_workers : cfg_.max_tune_workers;
-  opts.num_workers =
-      req.tune_workers == 0 ? cap : std::min(req.tune_workers, cap);
+  opts.num_workers = req.tune_workers;
   if (p.has_deadline) {
     if (req.strategy == fm::StrategyKind::kExhaustive &&
         opts.search.grain == fm::kAutoGrain) {
@@ -495,7 +483,7 @@ CacheKey Service::spec_fp(
     }
   }
   // Sample outside the lock; a racing duplicate computes the same value.
-  const CacheKey fp = spec_fingerprint(*spec, cfg_.key_sample_points);
+  const CacheKey fp = spec_fingerprint(*spec);
   std::lock_guard<std::mutex> lk(spec_fp_mu_);
   if (spec_fps_.size() >= kSpecFpCapacity) {
     std::erase_if(spec_fps_,
@@ -508,7 +496,7 @@ CacheKey Service::spec_fp(
 
 CacheKey Service::result_key(const Request& req) {
   return req.kind == RequestKind::kPipelineTune
-             ? make_cache_key(req, cfg_.key_sample_points)
+             ? make_cache_key(req)
              : make_cache_key(req, spec_fp(req.spec));
 }
 
@@ -536,7 +524,7 @@ std::shared_ptr<const fm::CompiledSpec> Service::compiled_for_stage(
     return fm::compile_spec(spec, req.machine, proto);
   }
   const CacheKey key =
-      make_stage_compile_key(req, stage, home_fp, cfg_.key_sample_points);
+      make_stage_compile_key(req, stage, home_fp);
   return compiled_cached(
       key, [&] { return fm::compile_spec(spec, req.machine, proto); });
 }

@@ -6,7 +6,7 @@
 //   submit() ── cache hit ──────────────────────────▶ ready future
 //        │
 //        └─ miss ─▶ admission (bounded: queue_capacity admitted and
-//                   unanswered, else kRejected + retry_after)
+//                   unanswered, else kRejected + kRetryAfter)
 //                   ├─ duplicate of a running miss ─▶ parked on it
 //                   └─ otherwise ─▶ one sched::Scheduler root ─▶ oracle
 //                      on the first free worker ─▶ its promise and its
@@ -48,31 +48,26 @@ struct ExecWitness;  // analyze/exec.hpp
 
 namespace harmony::serve {
 
+/// Backoff hint attached to kRejected responses, by the Service and by
+/// a shard whose responder backlog is full.
+inline constexpr std::chrono::nanoseconds kRetryAfter{
+    std::chrono::milliseconds(1)};
+
 struct ServiceConfig {
   /// Scheduler pool threads.  Each admitted miss runs as one root on
   /// this pool, and tunes fork their enumeration grains into the same
   /// pool, so request-level and search-level parallelism share one set
   /// of deques.
   unsigned num_workers = 4;
-  /// Service-level cap on fork-join lanes a single tune may claim
-  /// (Request::tune_workers is clamped to this).  0 means num_workers.
-  unsigned max_tune_workers = 0;
   /// Bound on admitted and not yet answered misses (running, waiting
   /// for a worker, or parked on a running duplicate); a miss beyond it
-  /// is rejected with retry_after.  Cache hits never count.
+  /// is rejected with kRetryAfter.  Cache hits never count.
   std::size_t queue_capacity = 1024;
   std::size_t cache_capacity = 4096;
   std::size_t cache_shards = 8;
-  /// Applied when Request::deadline is zero; zero here means no
-  /// deadline at all.
-  std::chrono::nanoseconds default_deadline{0};
-  /// Backoff hint attached to kRejected responses.
-  std::chrono::nanoseconds retry_after{std::chrono::milliseconds(1)};
   /// A deadline-cut tune stops searching this far *before* the deadline
   /// so the response is delivered strictly before it.
   std::chrono::nanoseconds deadline_margin{std::chrono::microseconds(200)};
-  /// Dependence-edge sample size for cache keys (request.hpp).
-  std::size_t key_sample_points = 32;
 };
 
 class Service {

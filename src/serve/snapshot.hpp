@@ -9,8 +9,7 @@
 // Service::warm(), and each distinct tune triple re-enters the compile
 // cache via Service::precompile().  The restore-time compiles *are* the
 // snapshot's miss set; replaying the original key sequence afterwards
-// adds zero compile misses (pinned by tests/serve_dist_test.cpp and the
-// warm-restart phase of bench_e25_distributed).
+// adds zero compile misses (pinned by tests/serve_dist_test.cpp).
 //
 // The format is versioned and self-delimiting — pairs of
 // length-prefixed byte strings — so a snapshot taken by one build can

@@ -33,8 +33,7 @@ void send_reply(Channel& channel, std::uint64_t id, std::uint64_t begin_ns,
 }  // namespace
 
 Worker::Worker(WorkerConfig cfg)
-    : cfg_(cfg),
-      service_(cfg.service),
+    : service_(cfg.service),
       replies_(cfg.service.queue_capacity + 64) {}
 
 Worker::~Worker() { replies_.close(); }
@@ -89,7 +88,7 @@ void Worker::serve(std::shared_ptr<Channel> channel) {
           WireResponse rej;
           rej.status = static_cast<std::uint8_t>(Status::kRejected);
           rej.error = "shard responder backlog full";
-          rej.retry_after_ns = cfg_.service.retry_after.count();
+          rej.retry_after_ns = kRetryAfter.count();
           send_reply(*channel, id, begin_ns, encoded(rej));
         }
         break;
@@ -150,7 +149,7 @@ void Worker::respond(Channel& channel, Reply& reply) {
     std::lock_guard<std::mutex> lock(snap_mu_);
     if (const auto it = snap_index_.find(key); it != snap_index_.end()) {
       snap_entries_[it->second].response = body;
-    } else if (snap_entries_.size() < cfg_.snapshot_capacity) {
+    } else if (snap_entries_.size() < kSnapshotCapacity) {
       snap_index_.emplace(key, snap_entries_.size());
       snap_entries_.push_back(SnapshotEntry{std::move(request), body});
     }
@@ -191,7 +190,7 @@ std::uint64_t Worker::restore(const CacheSnapshot& snap) {
       const CacheKey key = routing_key(e.request);
       std::lock_guard<std::mutex> lock(snap_mu_);
       if (snap_index_.find(key) == snap_index_.end() &&
-          snap_entries_.size() < cfg_.snapshot_capacity) {
+          snap_entries_.size() < kSnapshotCapacity) {
         snap_index_.emplace(key, snap_entries_.size());
         snap_entries_.push_back(e);
       }

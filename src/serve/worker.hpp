@@ -42,10 +42,6 @@ namespace harmony::serve {
 
 struct WorkerConfig {
   ServiceConfig service;
-  /// Snapshot-log entries retained.  Once the log is full, answers for
-  /// keys it does not hold yet are not logged (nothing is evicted);
-  /// 0 disables logging.
-  std::size_t snapshot_capacity = 4096;
 };
 
 class Worker {
@@ -78,6 +74,9 @@ class Worker {
   /// slow tune from head-of-line-blocking a stream of cheap misses
   /// without meaningfully adding threads.
   static constexpr unsigned kResponders = 2;
+  /// Snapshot-log entries retained.  Once the log is full, answers for
+  /// keys it does not hold yet are not logged (nothing is evicted).
+  static constexpr std::size_t kSnapshotCapacity = 4096;
 
   /// A submitted request on its way to its kReply.
   struct Reply {
@@ -93,7 +92,6 @@ class Worker {
   void respond(Channel& channel, Reply& reply);
   void responder_loop(Channel& channel);
 
-  WorkerConfig cfg_;
   SpecCatalog catalog_;
   Service service_;
   BoundedQueue<Reply> replies_;

@@ -24,8 +24,8 @@
 //     quiescent (joined, or idle outside any Span) — the rings are
 //     single-writer, so reading them concurrently with their owner would
 //     be a data race.  In practice: destroy (or drain) the Scheduler /
-//     Service under trace before capturing, as serve_demo and the
-//     bench_e8/bench_e21 `--trace` flags do.
+//     Service under trace before capturing, as serve_demo's `--trace`
+//     flag does.
 //
 // Exporters live in trace/export.hpp: Chrome trace-event JSON (loadable
 // in Perfetto / chrome://tracing) and an in-process summarizer

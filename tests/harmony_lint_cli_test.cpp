@@ -93,6 +93,16 @@ TEST(HarmonyLintCli, CheckExecMergesIntoTheExitCode) {
 TEST(HarmonyLintCli, BadArgumentsExitTwo) {
   EXPECT_EQ(run_lint("--map=nonsense").exit_code, 2);
   EXPECT_EQ(run_lint("--no-such-flag").exit_code, 2);
+  // Malformed or out-of-range numbers are usage errors, and sizes a
+  // builder rejects are errors, not aborts.
+  for (const char* arg : {"--spec=editdist:axb",
+                          "--spec=editdist:99999999999999999999x2",
+                          "--machine=axb", "--pe-capacity=abc",
+                          "--map=affine:1,1,x,0,1,0", "--pipeline=fft:q",
+                          "--machine=3000000000x1", "--pipeline=fft:0"}) {
+    const CliResult r = run_lint(arg);
+    EXPECT_EQ(r.exit_code, 2) << arg << "\n" << r.out;
+  }
 }
 
 }  // namespace

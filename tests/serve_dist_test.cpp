@@ -18,7 +18,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -297,29 +299,30 @@ TEST(ServeDist, DrainDropsNothingAndRejoinRestoresPlacement) {
 }
 
 TEST(ServeDist, SnapshotRestoreWarmStartsWithoutRecompiles) {
-  const WireRequest tune_a = tune_req("editdist:4x4", 4);
-  const WireRequest tune_b = tune_req("matmul:3", 4);
+  // One tune per spec family: a 2-D DP, a 3-D matmul, a convolution.
+  const std::vector<WireRequest> tunes = {tune_req("editdist:4x4", 4),
+                                          tune_req("matmul:3", 4),
+                                          tune_req("conv:16,3", 4)};
 
   std::vector<std::uint8_t> snapshot;
-  std::vector<std::uint8_t> bytes_a, bytes_b;
+  std::vector<std::vector<std::uint8_t>> bytes;
   std::uint64_t source_compile_misses = 0;
   {
     Fleet source(1);
-    const WireResponse ra = source.router.call(tune_a);
-    const WireResponse rb = source.router.call(tune_b);
-    ASSERT_EQ(ra.status, kOk);
-    ASSERT_EQ(rb.status, kOk);
-    bytes_a = semantic_bytes(ra);
-    bytes_b = semantic_bytes(rb);
+    for (const WireRequest& t : tunes) {
+      const WireResponse r = source.router.call(t);
+      ASSERT_EQ(r.status, kOk) << t.spec;
+      bytes.push_back(semantic_bytes(r));
+    }
     const WireMetrics m = source.router.shard_metrics(0);
     source_compile_misses = m.compile_misses;
-    EXPECT_GE(source_compile_misses, 2u);  // two distinct compile keys
+    EXPECT_GE(source_compile_misses, tunes.size());  // distinct compile keys
     snapshot = source.router.snapshot_shard(0);
     EXPECT_FALSE(snapshot.empty());
   }
 
   Fleet restored(1);
-  EXPECT_EQ(restored.router.restore_shard(0, snapshot), 2u);
+  EXPECT_EQ(restored.router.restore_shard(0, snapshot), tunes.size());
   const WireMetrics after_restore = restored.router.shard_metrics(0);
   // The restore-time compiles are the snapshot's miss set — bounded by
   // what the source shard itself paid.
@@ -327,19 +330,17 @@ TEST(ServeDist, SnapshotRestoreWarmStartsWithoutRecompiles) {
 
   // Replaying the snapshot's keys: pure cache hits, zero new compiles,
   // answers byte-identical to the source shard's.
-  const WireResponse ra = restored.router.call(tune_a);
-  const WireResponse rb = restored.router.call(tune_b);
-  ASSERT_EQ(ra.status, kOk);
-  ASSERT_EQ(rb.status, kOk);
-  EXPECT_TRUE(ra.cache_hit);
-  EXPECT_TRUE(rb.cache_hit);
-  EXPECT_EQ(semantic_bytes(ra), bytes_a);
-  EXPECT_EQ(semantic_bytes(rb), bytes_b);
+  for (std::size_t i = 0; i < tunes.size(); ++i) {
+    const WireResponse r = restored.router.call(tunes[i]);
+    ASSERT_EQ(r.status, kOk) << tunes[i].spec;
+    EXPECT_TRUE(r.cache_hit) << tunes[i].spec;
+    EXPECT_EQ(semantic_bytes(r), bytes[i]) << tunes[i].spec;
+  }
 
   const WireMetrics after_replay = restored.router.shard_metrics(0);
   EXPECT_EQ(after_replay.compile_misses, after_restore.compile_misses)
       << "replayed keys must not recompile";
-  EXPECT_GE(after_replay.cache_hits, 2u);
+  EXPECT_GE(after_replay.cache_hits, tunes.size());
 }
 
 TEST(ServeDist, CacheHitIsNotAnsweredBehindRunningTunes) {
@@ -458,6 +459,27 @@ TEST(ServeDist, RouterWithoutShardsRejects) {
   const WireResponse r = router.call(cost_req(4, 4, 2));
   EXPECT_EQ(r.status, kRejected);
   EXPECT_NE(r.error.find("no shards"), std::string::npos);
+
+  // The rejection callback may re-enter the router.  The submit runs on
+  // its own thread and the wait is bounded, so a callback that
+  // deadlocks on the router's lock fails the test instead of hanging
+  // the suite.
+  auto reentered = std::make_shared<std::promise<std::uint64_t>>();
+  std::future<std::uint64_t> routed = reentered->get_future();
+  std::thread client([&router, reentered] {
+    router.submit(cost_req(4, 4, 2),
+                  [&router, reentered](const WireResponse& rej) {
+                    EXPECT_EQ(rej.status, kRejected);
+                    reentered->set_value(router.stats().routed);
+                  });
+  });
+  if (routed.wait_for(std::chrono::seconds(5)) !=
+      std::future_status::ready) {
+    ADD_FAILURE() << "rejection callback deadlocked calling stats()";
+    std::abort();  // the client thread is stuck inside submit
+  }
+  EXPECT_EQ(routed.get(), 0u);
+  client.join();
 }
 
 }  // namespace

@@ -456,13 +456,12 @@ TEST(Service, CompileCacheSharesTablesAcrossTunes) {
 TEST(Service, ParallelTuneMatchesSerialAndRecordsWorkerMetrics) {
   ServiceConfig cfg;
   cfg.num_workers = 4;
-  cfg.max_tune_workers = 4;
   Service svc(cfg);
 
   Request req = editdist_cost_request(10, 10);
   req.kind = RequestKind::kTune;
   req.fom = fm::FigureOfMerit::kTime;
-  req.tune_workers = 3;  // per-request ask, below the service cap
+  req.tune_workers = 3;  // per-request ask, below the pool's 4 workers
 
   fm::Mapping proto;
   proto.set_input(0, fm::InputHome::at({0, 0}));

@@ -417,6 +417,8 @@ TEST(SpecCatalog, RejectsUnknownAndMalformedNames) {
   EXPECT_THROW((void)catalog.spec("editdist:4"), WireError);
   EXPECT_THROW((void)catalog.spec("editdist:4x-2"), WireError);
   EXPECT_THROW((void)catalog.spec("matmul:abc"), WireError);
+  EXPECT_THROW((void)catalog.spec("editdist:99999999999999999999x2"),
+               WireError);
   EXPECT_THROW((void)catalog.spec("irregular:12,3"), WireError);
 }
 
