@@ -13,9 +13,9 @@
 // over the identical candidate list.  The legacy pass is the
 // pre-compiled search inner loop verbatim (spec callbacks, a Mapping
 // object per candidate, the full report-building verifier); the
-// compiled pass is what search_affine runs today (flat tables and the
-// report-free short-circuit legality gate).  Both accumulate an exact checksum (gate counts, summed
-// makespan, summed energy bits) that must agree.
+// compiled pass calls fm::run_gates, the per-candidate function
+// search_affine runs.  Both accumulate an exact checksum (gate counts,
+// summed makespan, summed energy bits) that must agree.
 //
 // E22.b runs the full search serially and across fork-join lanes
 // sharing one pre-compiled spec, confirming the lanes return the serial
@@ -213,18 +213,8 @@ int main(int argc, char** argv) {
         enumerate_candidates(dom, k.cols, k.rows, bound);
 
     // Quick-gate sample points, as search_affine picks them.
-    std::vector<fm::Point> sample_pts;
-    std::vector<std::int64_t> sample_lins;
-    {
-      const std::int64_t n = dom.size();
-      const std::int64_t stride = std::max<std::int64_t>(1, n / 64);
-      for (std::int64_t lin = 0; lin < n; lin += stride) {
-        sample_pts.push_back(dom.delinearize(lin));
-        sample_lins.push_back(lin);
-      }
-      sample_pts.push_back(dom.delinearize(n - 1));
-      sample_lins.push_back(n - 1);
-    }
+    const fm::QuickSample sample =
+        fm::quick_sample_points(dom, fm::SearchOptions{}.quick_sample);
 
     // Legacy inner loop: the pre-compiled search Evaluator verbatim —
     // spec dependence callbacks in the quick gate and the arrival
@@ -234,7 +224,7 @@ int main(int argc, char** argv) {
       for (const fm::AffineMap& cand : maps) {
         fm::AffineMap map = cand;
         bool plausible = true;
-        for (const fm::Point& p : sample_pts) {
+        for (const fm::Point& p : sample.points) {
           const fm::Cycle when = map.time(p);
           for (const fm::ValueRef& d : k.spec.deps(target, p)) {
             if (k.spec.is_input(d.tensor)) continue;
@@ -287,71 +277,22 @@ int main(int argc, char** argv) {
       return sum;
     };
 
-    // Compiled inner loop: the same three gates on the flat tables
-    // (what search_affine runs per slot today).
+    // Compiled inner loop: search_affine's own three gates.
     fm::EvalContext ctx(*cs);
-    const std::size_t P = cs->num_pes;
     const auto compiled_pass = [&] {
       Checksum sum;
       for (const fm::AffineMap& cand : maps) {
         fm::AffineMap map = cand;
-        bool plausible = true;
-        for (std::size_t idx = 0; idx < sample_pts.size(); ++idx) {
-          const fm::Point& p = sample_pts[idx];
-          const fm::Cycle when = map.time(p);
-          const auto lin = static_cast<std::size_t>(sample_lins[idx]);
-          for (std::uint64_t o = cs->dep_offsets[lin];
-               o < cs->dep_offsets[lin + 1]; ++o) {
-            const fm::CompiledDep& d = cs->deps[o];
-            if (d.kind != fm::CompiledDep::kComputed) continue;
-            const std::size_t here = cs->pe_index(map.place(p));
-            const fm::Point dp = d.point();
-            const std::size_t there = cs->pe_index(map.place(dp));
-            const fm::Cycle need =
-                map.time(dp) +
-                std::max<fm::Cycle>(1, cs->transit[there * P + here]);
-            if (when < need) {
-              plausible = false;
-              break;
-            }
-          }
-          if (!plausible) break;
-        }
-        if (!plausible) {
+        const fm::GateResult g = fm::run_gates(*cs, sample, {}, map, ctx);
+        if (g.gate == fm::Gate::kQuickRejected) {
           ++sum.quick_rejected;
-          continue;
-        }
-        if (cs->has_input_deps) {
-          fm::Cycle deficit = 0;
-          std::int64_t lin = 0;
-          cs->domain.for_each([&](const fm::Point& p) {
-            const auto v = static_cast<std::size_t>(lin++);
-            const std::uint64_t dlo = cs->dep_offsets[v];
-            const std::uint64_t dhi = cs->dep_offsets[v + 1];
-            if (dlo == dhi) return;
-            const fm::Cycle when = map.time(p);
-            const std::size_t here = cs->pe_index(map.place(p));
-            for (std::uint64_t o = dlo; o < dhi; ++o) {
-              const fm::CompiledDep& d = cs->deps[o];
-              if (d.kind == fm::CompiledDep::kComputed) continue;
-              const fm::Cycle need =
-                  d.kind == fm::CompiledDep::kInputDram
-                      ? cs->dram_cycles[here]
-                      : cs->transit[static_cast<std::size_t>(d.home_pe) *
-                                        P + here];
-              deficit = std::max(deficit, need - when);
-            }
-          });
-          map.t0 += deficit;
-        }
-        if (!fm::verify_ok(*cs, map, ctx)) {
+        } else if (g.gate == fm::Gate::kVerifyRejected) {
           ++sum.verify_rejected;
-          continue;
+        } else {
+          ++sum.legal;
+          sum.cycles += g.cost.makespan_cycles;
+          sum.energy_fj += g.cost.total_energy().femtojoules();
         }
-        const fm::CostReport cr = fm::evaluate_cost(*cs, map, ctx);
-        ++sum.legal;
-        sum.cycles += cr.makespan_cycles;
-        sum.energy_fj += cr.total_energy().femtojoules();
       }
       return sum;
     };

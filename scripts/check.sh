@@ -61,16 +61,16 @@ STAGE="${1:-all}"
 run_tier1() {
   echo "== tier-1: build + full test suite ==" &&
   cmake -B build -S . &&
-  cmake --build build -j &&
+  cmake --build build -j "$(nproc)" &&
   ctest --test-dir build --output-on-failure -j
 }
 
 run_analyze() {
   echo "== analyze: race detector + linter + execution checker ==" &&
   cmake -B build -S . &&
-  cmake --build build -j --target analyze_race_test analyze_lint_test \
-    analyze_exec_test analyze_witness_test harmony_lint_cli_test \
-    harmony_lint &&
+  cmake --build build -j "$(nproc)" --target analyze_race_test \
+    analyze_lint_test analyze_exec_test analyze_witness_test \
+    harmony_lint_cli_test harmony_lint &&
   ctest --test-dir build --output-on-failure -L analyze &&
   ./build/examples/harmony-lint --spec=editdist:16x16 --machine=4x1 \
     --map=wavefront &&
@@ -90,7 +90,7 @@ run_analyze() {
 run_asan() {
   echo "== ASan/UBSan: serve + sched + analyze + support + fm tests ==" &&
   cmake -B build-asan -S . -DHARMONY_ASAN=ON &&
-  cmake --build build-asan -j --target serve_test serve_ring_test \
+  cmake --build build-asan -j "$(nproc)" --target serve_test serve_ring_test \
     serve_wire_test serve_dist_test serve_stress_test sched_test \
     sched_robustness_test analyze_race_test analyze_lint_test \
     analyze_exec_test analyze_witness_test support_test fm_compiled_test \
@@ -103,7 +103,7 @@ run_tsan() {
   echo "== TSan: tier1 + serve + serve_dist + analyze + trace +" \
        "fm_search + fm_strategy + fm_pipeline labels ==" &&
   cmake -B build-tsan -S . -DHARMONY_TSAN=ON &&
-  cmake --build build-tsan -j --target harmony_tests &&
+  cmake --build build-tsan -j "$(nproc)" --target harmony_tests &&
   ctest --test-dir build-tsan --output-on-failure \
     -L "tier1|serve|serve_dist|analyze|trace|fm_search|fm_strategy|fm_pipeline|exec"
 }
@@ -116,8 +116,8 @@ run_perf() {
   echo "== perf: compiled-eval + stochastic-search + pipeline bench" \
        "smoke + shard scaling ==" &&
   cmake -B build -S . &&
-  cmake --build build -j --target bench_e22_cost_eval bench_e23_anneal \
-    bench_e24_pipeline shard_scaling_test &&
+  cmake --build build -j "$(nproc)" --target bench_e22_cost_eval \
+    bench_e23_anneal bench_e24_pipeline shard_scaling_test &&
   ctest --test-dir build --output-on-failure -L perf &&
   # perfbench (BENCHMARK.json's command) builds its own Release tree in
   # .bench_build and exits non-zero on any wrong reply, so a short run of

@@ -161,22 +161,69 @@ std::shared_ptr<const CompiledSpec> compile_spec(const FunctionSpec& spec,
   return cs;
 }
 
+void EvalContext::place(const CompiledSpec& cs, const AffineMap& map) {
+  HARMONY_REQUIRE(map.cols > 0 && map.rows > 0,
+                  "compiled: AffineMap grid has no columns or rows");
+  // Every coefficient and offset is reduced into [0, m) once.  A sum of
+  // two reduced values stays below 2m, so one conditional subtract per
+  // odometer step keeps x and y exact for any int64 coefficients, where
+  // place() pays two int64 % per point.
+  const auto reduce = [](std::int64_t v, std::int64_t m) {
+    const std::int64_t r = v % m;
+    return r < 0 ? r + m : r;
+  };
+  const auto step = [](std::int64_t& v, std::int64_t d, std::int64_t m) {
+    v += d;
+    if (v >= m) v -= m;
+  };
+  const std::int64_t cols = map.cols;
+  const std::int64_t rows = map.rows;
+  const std::int64_t xi = reduce(map.xi, cols), yi = reduce(map.yi, rows);
+  const std::int64_t xj = reduce(map.xj, cols), yj = reduce(map.yj, rows);
+  const std::int64_t xk = reduce(map.xk, cols), yk = reduce(map.yk, rows);
+  const std::int64_t ni = cs.domain.extent(0);
+  const std::int64_t nj = cs.domain.extent(1);
+  const std::int64_t nk = cs.domain.extent(2);
+  point_pe.resize(static_cast<std::size_t>(cs.num_points));
+  std::size_t lin = 0;  // row-major, the order IndexDomain::for_each visits
+  std::int64_t x_i = reduce(map.x0, cols), y_i = reduce(map.y0, rows);
+  for (std::int64_t i = 0; i < ni; ++i) {
+    std::int64_t x_j = x_i, y_j = y_i;
+    for (std::int64_t j = 0; j < nj; ++j) {
+      std::int64_t x = x_j, y = y_j;
+      for (std::int64_t k = 0; k < nk; ++k, ++lin) {
+        HARMONY_REQUIRE(x < cs.cols && y < cs.rows,
+                        "compiled: AffineMap places a point off the "
+                        "compiled grid");
+        point_pe[lin] = static_cast<std::int32_t>(y * cs.cols + x);
+        step(x, xk, cols);
+        step(y, yk, rows);
+      }
+      step(x_j, xj, cols);
+      step(y_j, yj, rows);
+    }
+    step(x_i, xi, cols);
+    step(y_i, yi, rows);
+  }
+}
+
 namespace {
 
 // The per-candidate oracles are written once against a *map view* —
-// time/place per linearized target point plus the input-value home —
-// and instantiated for the AffineMap (closed-form, ignores lin) and the
-// TableMap (array lookup, ignores the point).  One template body serves
-// both views, so the bit-identical-to-legacy pin covers both
-// instantiations.
+// time per linearized target point, its PE, and the input-value home —
+// and instantiated for the AffineMap (closed-form time over the PE
+// table EvalContext::place filled) and the TableMap (array lookups).
+// One template body serves both views, so the bit-identical-to-legacy
+// pin covers both instantiations.
 struct AffineView {
   const CompiledSpec& cs;
   const AffineMap& map;
+  const std::int32_t* point_pe;
   [[nodiscard]] Cycle time(std::size_t, const Point& p) const {
     return map.time(p);
   }
-  [[nodiscard]] std::size_t pe(std::size_t, const Point& p) const {
-    return cs.pe_index(map.place(p));
+  [[nodiscard]] std::size_t pe(std::size_t lin) const {
+    return static_cast<std::size_t>(point_pe[lin]);
   }
   [[nodiscard]] std::int32_t home(const CompiledDep& d) const {
     return d.home_pe;
@@ -186,13 +233,21 @@ struct AffineView {
   }
 };
 
+AffineView affine_view(const CompiledSpec& cs, const AffineMap& map,
+                       const EvalContext& ctx) {
+  HARMONY_ASSERT_MSG(
+      static_cast<std::int64_t>(ctx.point_pe.size()) == cs.num_points,
+      "compiled: the PE table was not filled by place() for this spec");
+  return AffineView{cs, map, ctx.point_pe.data()};
+}
+
 struct TableView {
   const CompiledSpec& cs;
   const TableMap& tm;
   [[nodiscard]] Cycle time(std::size_t lin, const Point&) const {
     return tm.cycle[lin];
   }
-  [[nodiscard]] std::size_t pe(std::size_t lin, const Point&) const {
+  [[nodiscard]] std::size_t pe(std::size_t lin) const {
     return static_cast<std::size_t>(tm.pe[lin]);
   }
   [[nodiscard]] std::int32_t home(const CompiledDep& d) const {
@@ -207,6 +262,12 @@ TableView table_view(const CompiledSpec& cs, const TableMap& tm) {
           static_cast<std::int64_t>(tm.cycle.size()) == cs.num_points &&
           tm.input_home.size() == cs.num_input_values,
       "compiled: TableMap does not match the compiled spec's shape");
+  const auto num_pes = static_cast<std::int32_t>(cs.num_pes);
+  HARMONY_REQUIRE(std::all_of(tm.pe.begin(), tm.pe.end(),
+                              [num_pes](std::int32_t q) {
+                                return q >= 0 && q < num_pes;
+                              }),
+                  "compiled: TableMap places a point off the compiled grid");
   return TableView{cs, tm};
 }
 
@@ -221,22 +282,19 @@ CostReport evaluate_cost_impl(const CompiledSpec& cs, const View& view,
 
   const std::size_t P = cs.num_pes;
   const auto bits = static_cast<std::uint64_t>(cs.bits);
-  std::int64_t lin = 0;
-  cs.domain.for_each([&](const Point& p) {
-    const auto v = static_cast<std::size_t>(lin);
+  const auto total = static_cast<std::size_t>(cs.num_points);
+  for (std::size_t v = 0; v < total; ++v) {
     const std::uint64_t lo = cs.dep_offsets[v];
     const std::uint64_t hi = cs.dep_offsets[v + 1];
-    ++lin;
-    if (lo == hi) return;
-    const std::size_t here = view.pe(v, p);
+    if (lo == hi) continue;
+    const std::size_t here = view.pe(v);
     for (std::uint64_t o = lo; o < hi; ++o) {
       const CompiledDep& d = cs.deps[o];
       // Branch order mirrors cost.cpp exactly: repeat-use short-circuit
       // first for inputs (which also stamps the delivery), then DRAM /
       // local-home / remote-home.
       if (d.kind == CompiledDep::kComputed) {
-        const std::size_t there =
-            view.pe(static_cast<std::size_t>(d.dep_lin), d.point());
+        const std::size_t there = view.pe(static_cast<std::size_t>(d.dep_lin));
         if (there == here) {
           rep.local_access_energy += cs.sram_access;
         } else {
@@ -259,7 +317,7 @@ CostReport evaluate_cost_impl(const CompiledSpec& cs, const View& view,
             bits * static_cast<std::uint64_t>(cs.hop_count[from * P + here]);
       }
     }
-  });
+  }
   rep.makespan = cs.cycle * static_cast<double>(rep.makespan_cycles);
   return rep;
 }
@@ -309,20 +367,18 @@ bool legality_pass(const CompiledSpec& cs, const View& view,
   };
 
   // ---- 1. causality & transit, plus per-edge link traffic ------------
-  // ---- 2. exclusivity: collect (pe, cycle) of every element ----------
-  // The same sweep fills the storage check's def/last-use ledger: as in
-  // legality.cpp, restricted to the target tensor's values (inputs live
-  // off-ledger), and negative-time elements are skipped by def_time.
-  ctx.slots.clear();
+  // The same sweep records each element's cycle, counts the elements
+  // of each PE for the counting sort below, and fills the storage
+  // check's last-use ledger: as in legality.cpp, restricted to the
+  // target tensor's values (inputs live off-ledger).  Negative-time
+  // elements are neither counted nor stored.
   ctx.link_bits.assign(opts.check_bandwidth ? P * 4 : 0, 0);
+  ctx.pe_run.assign(P + 1, 0);
   Cycle makespan = 0;
   const bool storage = opts.check_storage;
   const auto total = static_cast<std::size_t>(cs.num_points);
-  if (storage) {
-    ctx.def_time.resize(total);
-    ctx.last_use.assign(total, -1);
-    ctx.owner_pe.resize(total);
-  }
+  ctx.point_cycle.resize(total);
+  if (storage) ctx.last_use.assign(total, -1);
 
   const std::int64_t ni = cs.domain.extent(0);
   const std::int64_t nj = cs.domain.extent(1);
@@ -333,7 +389,7 @@ bool legality_pass(const CompiledSpec& cs, const View& view,
       for (std::int64_t k = 0; k < nk; ++k, ++lin) {
         const Point p{i, j, k};
         const Cycle when = view.time(lin, p);
-        if (storage) ctx.def_time[lin] = when;
+        ctx.point_cycle[lin] = when;
         if (when < 0) {
           if (!fail(&LegalityReport::causality_violations, "FM001",
                     [&](std::ostream& os) {
@@ -341,7 +397,7 @@ bool legality_pass(const CompiledSpec& cs, const View& view,
                          << " scheduled at negative cycle " << when;
                       return analyze::Location{
                           element(cs.target, p),
-                          static_cast<std::int32_t>(view.pe(lin, p)), when};
+                          static_cast<std::int32_t>(view.pe(lin)), when};
                     })) {
             return false;
           }
@@ -350,13 +406,9 @@ bool legality_pass(const CompiledSpec& cs, const View& view,
         makespan = std::max(makespan, when + 1);
         HARMONY_REQUIRE(when < (Cycle{1} << 40),
                         "verify: schedule exceeds 2^40 cycles");
-        const std::size_t here = view.pe(lin, p);
-        ctx.slots.push_back((static_cast<std::uint64_t>(here) << 40) |
-                            static_cast<std::uint64_t>(when));
-        if (storage) {
-          ctx.owner_pe[lin] = static_cast<std::int32_t>(here);
-          ctx.last_use[lin] = std::max(ctx.last_use[lin], when);
-        }
+        const std::size_t here = view.pe(lin);
+        ++ctx.pe_run[here];
+        if (storage) ctx.last_use[lin] = std::max(ctx.last_use[lin], when);
         const auto late = [&](TensorId t, const Point& dp, Cycle need) {
           return fail(&LegalityReport::causality_violations, "FM001",
                       [&](std::ostream& os) {
@@ -375,7 +427,7 @@ bool legality_pass(const CompiledSpec& cs, const View& view,
           if (d.kind == CompiledDep::kComputed) {
             const Point dp = d.point();
             const auto dl = static_cast<std::size_t>(d.dep_lin);
-            const std::size_t there = view.pe(dl, dp);
+            const std::size_t there = view.pe(dl);
             const Cycle need = view.time(dl, dp) +
                                std::max<Cycle>(1, cs.transit[there * P + here]);
             if (when < need && !late(d.tensor, dp, need)) return false;
@@ -403,69 +455,82 @@ bool legality_pass(const CompiledSpec& cs, const View& view,
     }
   }
 
-  std::sort(ctx.slots.begin(), ctx.slots.end());
-  for (std::size_t i = 1; i < ctx.slots.size(); ++i) {
-    if (ctx.slots[i] == ctx.slots[i - 1] &&
-        !fail(&LegalityReport::exclusivity_violations, "FM002",
-              [&](std::ostream& os) {
-                const auto pe = static_cast<std::int32_t>(ctx.slots[i] >> 40);
-                const auto cycle = static_cast<Cycle>(
-                    ctx.slots[i] & ((std::uint64_t{1} << 40) - 1));
-                os << "two elements share PE " << pe << " at cycle "
-                   << cycle;
-                return analyze::Location{"", pe, cycle};
-              })) {
-      return false;
+  // Counting sort by PE.  Inclusive prefix sums leave pe_run[q] at the
+  // end of PE q's run; scattering from the last element down steps each
+  // back to its run's start, so PE q's elements end up at
+  // [pe_run[q], pe_run[q + 1]).  Each element contributes its cycle to
+  // run_cycles and, for storage, its alloc and free to run_events as
+  // (cycle << 1) | alloc, so that frees sort before allocs at a tick.
+  for (std::size_t q = 1; q <= P; ++q) ctx.pe_run[q] += ctx.pe_run[q - 1];
+  ctx.run_cycles.resize(ctx.pe_run[P]);
+  if (storage) ctx.run_events.resize(2 * ctx.pe_run[P]);
+  for (std::size_t v = total; v-- > 0;) {
+    const Cycle when = ctx.point_cycle[v];
+    if (when < 0) continue;
+    const std::size_t at = --ctx.pe_run[view.pe(v)];
+    ctx.run_cycles[at] = static_cast<std::uint64_t>(when);
+    if (storage) {
+      // Outputs stay live until the end of the computation.
+      const Cycle end = cs.target_is_output ? makespan : ctx.last_use[v];
+      ctx.run_events[2 * at] = (static_cast<std::uint64_t>(when) << 1) | 1;
+      ctx.run_events[2 * at + 1] = static_cast<std::uint64_t>(end + 1) << 1;
+    }
+  }
+
+  // ---- 2. exclusivity: no two elements share a (PE, cycle) -----------
+  // PEs in order and each run sorted by cycle: the same visit order as
+  // one sort of every (PE, cycle) pair.
+  for (std::size_t q = 0; q < P; ++q) {
+    const std::size_t lo = ctx.pe_run[q];
+    const std::size_t hi = ctx.pe_run[q + 1];
+    std::sort(ctx.run_cycles.begin() + static_cast<std::ptrdiff_t>(lo),
+              ctx.run_cycles.begin() + static_cast<std::ptrdiff_t>(hi));
+    for (std::size_t a = lo + 1; a < hi; ++a) {
+      if (ctx.run_cycles[a] == ctx.run_cycles[a - 1] &&
+          !fail(&LegalityReport::exclusivity_violations, "FM002",
+                [&](std::ostream& os) {
+                  const auto pe = static_cast<std::int32_t>(q);
+                  const auto cycle = static_cast<Cycle>(ctx.run_cycles[a]);
+                  os << "two elements share PE " << pe << " at cycle "
+                     << cycle;
+                  return analyze::Location{"", pe, cycle};
+                })) {
+        return false;
+      }
     }
   }
 
   // ---- 3. storage: peak live values per PE ---------------------------
   if (storage) {
-    // Outputs stay live until the end of the computation.
-    if (cs.target_is_output) {
-      for (std::size_t v = 0; v < total; ++v) ctx.last_use[v] = makespan;
-    }
-
-    ctx.events.clear();
-    ctx.events.reserve(total * 2);
-    for (std::size_t v = 0; v < total; ++v) {
-      if (ctx.def_time[v] < 0) continue;  // negative-time element
-      ctx.events.push_back({ctx.owner_pe[v], ctx.def_time[v], +1});
-      ctx.events.push_back({ctx.owner_pe[v], ctx.last_use[v] + 1, -1});
-    }
-    std::sort(ctx.events.begin(), ctx.events.end(),
-              [](const EvalContext::StorageEvent& a,
-                 const EvalContext::StorageEvent& b) {
-                if (a.pe != b.pe) return a.pe < b.pe;
-                if (a.cycle != b.cycle) return a.cycle < b.cycle;
-                return a.delta < b.delta;  // frees before allocs at a tick
-              });
-    std::int64_t live = 0;
-    std::int32_t cur_pe = -1;
-    bool flagged_this_pe = false;
-    for (const EvalContext::StorageEvent& e : ctx.events) {
-      if (e.pe != cur_pe) {
-        cur_pe = e.pe;
-        live = 0;
-        flagged_this_pe = false;
-      }
-      live += e.delta;
-      if constexpr (kReport) {
-        if (live > rep->peak_live_values) {
-          rep->peak_live_values = live;
-          rep->peak_live_pe = e.pe;
+    for (std::size_t q = 0; q < P; ++q) {
+      const std::size_t lo = 2 * ctx.pe_run[q];
+      const std::size_t hi = 2 * ctx.pe_run[q + 1];
+      std::sort(ctx.run_events.begin() + static_cast<std::ptrdiff_t>(lo),
+                ctx.run_events.begin() + static_cast<std::ptrdiff_t>(hi));
+      const auto pe = static_cast<std::int32_t>(q);
+      std::int64_t live = 0;
+      bool flagged_this_pe = false;
+      for (std::size_t a = lo; a < hi; ++a) {
+        live += (ctx.run_events[a] & 1) != 0 ? 1 : -1;
+        if constexpr (kReport) {
+          if (live > rep->peak_live_values) {
+            rep->peak_live_values = live;
+            rep->peak_live_pe = pe;
+          }
         }
-      }
-      if (live > cs.pe_capacity_values && !flagged_this_pe) {
-        flagged_this_pe = true;
-        if (!fail(&LegalityReport::storage_violations, "FM003",
-                  [&](std::ostream& os) {
-                    os << "PE " << e.pe << " holds " << live
-                       << " live values at cycle " << e.cycle
-                       << " (capacity " << cs.pe_capacity_values << ")";
-                    return analyze::Location{"", e.pe, e.cycle};
-                  })) {
-          return false;
+        if (live > cs.pe_capacity_values && !flagged_this_pe) {
+          flagged_this_pe = true;
+          if (!fail(&LegalityReport::storage_violations, "FM003",
+                    [&](std::ostream& os) {
+                      const auto cycle =
+                          static_cast<Cycle>(ctx.run_events[a] >> 1);
+                      os << "PE " << pe << " holds " << live
+                         << " live values at cycle " << cycle
+                         << " (capacity " << cs.pe_capacity_values << ")";
+                      return analyze::Location{"", pe, cycle};
+                    })) {
+            return false;
+          }
         }
       }
     }
@@ -504,19 +569,34 @@ bool legality_pass(const CompiledSpec& cs, const View& view,
 
 CostReport evaluate_cost(const CompiledSpec& cs, const AffineMap& map,
                          EvalContext& ctx) {
-  return evaluate_cost_impl(cs, AffineView{cs, map}, ctx);
+  ctx.place(cs, map);
+  return evaluate_cost_placed(cs, map, ctx);
 }
 
 LegalityReport verify(const CompiledSpec& cs, const AffineMap& map,
                       EvalContext& ctx, const VerifyOptions& opts) {
+  ctx.place(cs, map);
   LegalityReport rep;
-  rep.ok = legality_pass<true>(cs, AffineView{cs, map}, ctx, opts, &rep);
+  rep.ok =
+      legality_pass<true>(cs, affine_view(cs, map, ctx), ctx, opts, &rep);
   return rep;
 }
 
 bool verify_ok(const CompiledSpec& cs, const AffineMap& map,
                EvalContext& ctx, const VerifyOptions& opts) {
-  return legality_pass<false>(cs, AffineView{cs, map}, ctx, opts, nullptr);
+  ctx.place(cs, map);
+  return verify_ok_placed(cs, map, ctx, opts);
+}
+
+CostReport evaluate_cost_placed(const CompiledSpec& cs, const AffineMap& map,
+                                EvalContext& ctx) {
+  return evaluate_cost_impl(cs, affine_view(cs, map, ctx), ctx);
+}
+
+bool verify_ok_placed(const CompiledSpec& cs, const AffineMap& map,
+                      EvalContext& ctx, const VerifyOptions& opts) {
+  return legality_pass<false>(cs, affine_view(cs, map, ctx), ctx, opts,
+                              nullptr);
 }
 
 CostReport evaluate_cost(const CompiledSpec& cs, const TableMap& tm,

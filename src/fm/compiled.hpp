@@ -22,8 +22,9 @@
 //
 // EvalContext is the per-lane scratch: an epoch-stamped delivered table
 // (one uint32 compare per dependence instead of an unordered_set insert;
-// cleared once per context, not once per candidate) and the reusable
-// slots/link/storage buffers of the verifier.  One CompiledSpec is
+// cleared once per context, not once per candidate), the per-point PE
+// table of the candidate, and the reusable by-PE run, link and storage
+// buffers of the verifier.  One CompiledSpec is
 // shared read-only by all search lanes; each lane owns one EvalContext,
 // which keeps fm::search_lanes RaceCtx-certifiable.
 //
@@ -116,8 +117,9 @@ struct CompiledSpec {
   /// Dense input-value ordinal space size (delivered-table rows).
   std::uint32_t num_input_values = 0;
 
-  /// PE index of a coordinate produced by AffineMap::place (always
-  /// in-range, so no bounds re-check: same value as geom.index()).
+  /// PE index of an on-grid coordinate: geom.index() without its bounds
+  /// check.  AffineMap::place stays on the grid when the map's cols and
+  /// rows are the compiled ones (every search candidate's are).
   [[nodiscard]] std::size_t pe_index(noc::Coord c) const {
     return static_cast<std::size_t>(c.y) * static_cast<std::size_t>(cols) +
            static_cast<std::size_t>(c.x);
@@ -150,19 +152,29 @@ class EvalContext {
 
   /// Pre-reserves every scratch buffer to its steady-state size for
   /// `cs` so the first candidates of a search do not grow them inside
-  /// the hot loop (verify sizes them on use: slots/def_time/last_use/
-  /// owner_pe to num_points, events to 2x, link_bits to 4 per PE).
-  /// Purely an allocation accelerator — buffer *contents* are still
-  /// established per candidate exactly as before.
+  /// the hot loop (the passes size them on use: the per-point tables
+  /// and run_cycles to num_points, run_events to 2x, pe_run to one
+  /// more than the PE count, link_bits to 4 per PE).  Purely an
+  /// allocation accelerator — buffer *contents* are still established
+  /// per candidate exactly as before.
   void reserve_scratch(const CompiledSpec& cs) {
     const auto n = static_cast<std::size_t>(cs.num_points);
-    slots.reserve(n);
-    link_bits.reserve(cs.num_pes * 4);
-    def_time.reserve(n);
+    point_pe.reserve(n);
+    point_cycle.reserve(n);
     last_use.reserve(n);
-    owner_pe.reserve(n);
-    events.reserve(n * 2);
+    pe_run.reserve(cs.num_pes + 1);
+    run_cycles.reserve(n);
+    run_events.reserve(n * 2);
+    link_bits.reserve(cs.num_pes * 4);
   }
+
+  /// Lowers `map`'s placement onto the compiled grid: afterwards
+  /// point_pe[lin] == cs.pe_index(map.place(p)) for every point.  An
+  /// odometer over (i, j, k) fills the table with no division per
+  /// point.  Throws InvalidArgument for a map with no columns or rows,
+  /// and for any point placed at x >= cs.cols or y >= cs.rows (the
+  /// legacy oracles reject those too).
+  void place(const CompiledSpec& cs, const AffineMap& map);
 
   /// Starts a fresh delivered-set scope (one oracle call = one scope,
   /// mirroring the legacy per-call unordered_set).
@@ -182,18 +194,18 @@ class EvalContext {
     return true;
   }
 
-  // Reusable verifier scratch (see compiled.cpp).
-  struct StorageEvent {
-    std::int32_t pe;
-    Cycle cycle;
-    std::int32_t delta;
-  };
-  std::vector<std::uint64_t> slots;
-  std::vector<std::uint64_t> link_bits;
-  std::vector<Cycle> def_time;
+  // Reusable buffers (see compiled.cpp).
+  /// PE of each linearized point, filled by place().
+  std::vector<std::int32_t> point_pe;
+  /// Schedule cycle and last use of each point (legality pass).
+  std::vector<Cycle> point_cycle;
   std::vector<Cycle> last_use;
-  std::vector<std::int32_t> owner_pe;
-  std::vector<StorageEvent> events;
+  /// Counting sort by PE: PE q's run is [pe_run[q], pe_run[q + 1]) of
+  /// run_cycles (exclusivity) and twice that of run_events (storage).
+  std::vector<std::size_t> pe_run;
+  std::vector<std::uint64_t> run_cycles;
+  std::vector<std::uint64_t> run_events;
+  std::vector<std::uint64_t> link_bits;
 
  private:
   std::size_t num_pes_;
@@ -252,6 +264,19 @@ class EvalContextPool {
 [[nodiscard]] bool verify_ok(const CompiledSpec& cs, const AffineMap& map,
                              EvalContext& ctx,
                              const VerifyOptions& opts = {});
+
+// The same AffineMap oracles over the PE table a preceding
+// ctx.place(cs, m) filled, for a caller that runs several passes over
+// one candidate (the search's gates, fm/search.hpp): `map` must place
+// every point where `m` did; its schedule may differ.  The overloads
+// above are these after their own ctx.place(cs, map).
+[[nodiscard]] CostReport evaluate_cost_placed(const CompiledSpec& cs,
+                                              const AffineMap& map,
+                                              EvalContext& ctx);
+
+[[nodiscard]] bool verify_ok_placed(const CompiledSpec& cs,
+                                    const AffineMap& map, EvalContext& ctx,
+                                    const VerifyOptions& opts = {});
 
 // --- TableMap (per-op) overloads --------------------------------------
 // The same oracles over a per-op placement table (strategy/table_map.hpp)

@@ -23,8 +23,7 @@ constexpr std::size_t kDecodeBatch = 256;
 struct Evaluator {
   const CompiledSpec& cs;
   const SearchOptions& opts;
-  const std::vector<Point>& sample_pts;
-  const std::vector<std::int64_t>& sample_lins;
+  const QuickSample& sample;
   const EnumPlan& plan;
 
   /// One candidate: row `r` of `soa` is slot `slot`.
@@ -32,69 +31,17 @@ struct Evaluator {
                     SearchTally& tally, EvalContext& ctx) const {
     ++tally.enumerated;
     AffineMap map = soa.map_at(r, cs.cols, cs.rows);
-
-    // Gate 1: sampled causality over the compiled dependence lists.
-    const std::size_t P = cs.num_pes;
-    for (std::size_t idx = 0; idx < sample_pts.size(); ++idx) {
-      const Point& p = sample_pts[idx];
-      const Cycle when = map.time(p);
-      const auto lin = static_cast<std::size_t>(sample_lins[idx]);
-      for (std::uint64_t o = cs.dep_offsets[lin];
-           o < cs.dep_offsets[lin + 1]; ++o) {
-        const CompiledDep& d = cs.deps[o];
-        if (d.kind != CompiledDep::kComputed) continue;
-        const std::size_t here = cs.pe_index(map.place(p));
-        const Point dp = d.point();
-        const std::size_t there = cs.pe_index(map.place(dp));
-        const Cycle need =
-            map.time(dp) + std::max<Cycle>(1, cs.transit[there * P + here]);
-        if (when < need) {
-          ++tally.quick_rejected;
-          return;
-        }
-      }
+    const GateResult g = run_gates(cs, sample, opts.verify, map, ctx);
+    if (g.gate == Gate::kQuickRejected) {
+      ++tally.quick_rejected;
+      return;
     }
-
-    // Input-arrival normalization: computed-dep legality is
-    // shift-invariant, input arrival is not — slide the whole schedule
-    // so every element starts no earlier than its input operands can
-    // reach it.
-    if (cs.has_input_deps) {
-      Cycle deficit = 0;
-      std::int64_t lin = 0;
-      cs.domain.for_each([&](const Point& p) {
-        const auto v = static_cast<std::size_t>(lin++);
-        const std::uint64_t lo = cs.dep_offsets[v];
-        const std::uint64_t hi = cs.dep_offsets[v + 1];
-        if (lo == hi) return;
-        const Cycle when = map.time(p);
-        const std::size_t here = cs.pe_index(map.place(p));
-        for (std::uint64_t o = lo; o < hi; ++o) {
-          const CompiledDep& d = cs.deps[o];
-          if (d.kind == CompiledDep::kComputed) continue;
-          const Cycle need =
-              d.kind == CompiledDep::kInputDram
-                  ? cs.dram_cycles[here]
-                  : cs.transit[static_cast<std::size_t>(d.home_pe) * P +
-                               here];
-          deficit = std::max(deficit, need - when);
-        }
-      });
-      map.t0 += deficit;
-    }
-
-    // Gate 2: full legality on the compiled arrays.  The report-free
-    // checker short-circuits at the first violation — rejection is the
-    // common case and the search never read the report it used to get.
-    if (!verify_ok(cs, map, ctx, opts.verify)) {
+    if (g.gate == Gate::kVerifyRejected) {
       ++tally.verify_rejected;
       return;
     }
     ++tally.legal;
-
-    // Gate 3: cost + ranking.
-    const CostReport cost = evaluate_cost(cs, map, ctx);
-    const Candidate cand{map, cost, merit_value(cost, opts.fom), slot};
+    const Candidate cand{map, g.cost, merit_value(g.cost, opts.fom), slot};
     if (opts.keep_all_legal) {
       tally.all_legal.push_back(cand);
     }
@@ -149,6 +96,77 @@ void merge_tallies(std::vector<SearchTally>& tallies, std::size_t top_k,
 
 }  // namespace
 
+QuickSample quick_sample_points(const IndexDomain& dom,
+                                std::size_t quick_sample) {
+  QuickSample s;
+  const std::int64_t n = dom.size();
+  const std::int64_t stride =
+      std::max<std::int64_t>(1, n / static_cast<std::int64_t>(quick_sample));
+  for (std::int64_t lin = 0; lin < n; lin += stride) {
+    s.points.push_back(dom.delinearize(lin));
+    s.lins.push_back(lin);
+  }
+  s.points.push_back(dom.delinearize(n - 1));
+  s.lins.push_back(n - 1);
+  return s;
+}
+
+GateResult run_gates(const CompiledSpec& cs, const QuickSample& sample,
+                     const VerifyOptions& opts, AffineMap& map,
+                     EvalContext& ctx) {
+  // Gate 1: sampled causality over the compiled dependence lists.
+  const std::size_t P = cs.num_pes;
+  for (std::size_t idx = 0; idx < sample.points.size(); ++idx) {
+    const Point& p = sample.points[idx];
+    const Cycle when = map.time(p);
+    const auto lin = static_cast<std::size_t>(sample.lins[idx]);
+    for (std::uint64_t o = cs.dep_offsets[lin]; o < cs.dep_offsets[lin + 1];
+         ++o) {
+      const CompiledDep& d = cs.deps[o];
+      if (d.kind != CompiledDep::kComputed) continue;
+      const std::size_t here = cs.pe_index(map.place(p));
+      const Point dp = d.point();
+      const std::size_t there = cs.pe_index(map.place(dp));
+      const Cycle need =
+          map.time(dp) + std::max<Cycle>(1, cs.transit[there * P + here]);
+      if (when < need) return {Gate::kQuickRejected, {}};
+    }
+  }
+
+  // One PE table for the rest: the shift below moves only the schedule.
+  ctx.place(cs, map);
+  if (cs.has_input_deps) {
+    Cycle deficit = 0;
+    std::size_t lin = 0;
+    cs.domain.for_each([&](const Point& p) {
+      const std::size_t v = lin++;
+      const std::uint64_t lo = cs.dep_offsets[v];
+      const std::uint64_t hi = cs.dep_offsets[v + 1];
+      if (lo == hi) return;
+      const Cycle when = map.time(p);
+      const auto here = static_cast<std::size_t>(ctx.point_pe[v]);
+      for (std::uint64_t o = lo; o < hi; ++o) {
+        const CompiledDep& d = cs.deps[o];
+        if (d.kind == CompiledDep::kComputed) continue;
+        const Cycle need =
+            d.kind == CompiledDep::kInputDram
+                ? cs.dram_cycles[here]
+                : cs.transit[static_cast<std::size_t>(d.home_pe) * P + here];
+        deficit = std::max(deficit, need - when);
+      }
+    });
+    map.t0 += deficit;
+  }
+
+  // Gate 2: full legality, stopped at the first violation — rejection is
+  // the common case and the search never reads a rejected report.
+  if (!verify_ok_placed(cs, map, ctx, opts)) {
+    return {Gate::kVerifyRejected, {}};
+  }
+  // Gate 3: cost.
+  return {Gate::kLegal, evaluate_cost_placed(cs, map, ctx)};
+}
+
 std::vector<analyze::Diagnostic> validate_search_options(
     const SearchOptions& opts) {
   std::vector<analyze::Diagnostic> diags;
@@ -191,20 +209,7 @@ SearchResult search_affine(const FunctionSpec& spec,
   std::shared_ptr<const CompiledSpec> cs = opts.compiled;
   if (cs == nullptr) cs = compile_spec(spec, machine, input_proto);
 
-  // Sample points for the quick causality gate (deterministic stride).
-  std::vector<Point> sample_pts;
-  std::vector<std::int64_t> sample_lins;
-  {
-    const std::int64_t n = dom.size();
-    const std::int64_t stride = std::max<std::int64_t>(
-        1, n / static_cast<std::int64_t>(opts.quick_sample));
-    for (std::int64_t lin = 0; lin < n; lin += stride) {
-      sample_pts.push_back(dom.delinearize(lin));
-      sample_lins.push_back(lin);
-    }
-    sample_pts.push_back(dom.delinearize(n - 1));
-    sample_lins.push_back(n - 1);
-  }
+  const QuickSample sample = quick_sample_points(dom, opts.quick_sample);
 
   const double serial_size = static_cast<double>(dom.size());
   const double makespan_bound = serial_size * opts.makespan_slack + 1.0;
@@ -213,7 +218,7 @@ SearchResult search_affine(const FunctionSpec& spec,
       build_enum_plan(dom, machine, opts.space, makespan_bound);
   const std::uint64_t total = plan.total;
   const std::uint64_t begin = std::min(opts.resume_from, total);
-  const Evaluator evaluate{*cs, opts, sample_pts, sample_lins, plan};
+  const Evaluator evaluate{*cs, opts, sample, plan};
 
   SearchResult result;
 

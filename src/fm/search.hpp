@@ -200,6 +200,40 @@ inline void tally_insert(SearchTally& tally, const Candidate& c,
   }
 }
 
+/// The quick causality gate's sample: every stride-th point of the
+/// domain, for about `quick_sample` points, plus the last point, each
+/// with its row-major linear index.
+struct QuickSample {
+  std::vector<Point> points;
+  std::vector<std::int64_t> lins;
+};
+
+[[nodiscard]] QuickSample quick_sample_points(const IndexDomain& dom,
+                                              std::size_t quick_sample);
+
+/// The gate a candidate stopped at, or kLegal when it passed all three.
+enum class Gate : std::uint8_t { kQuickRejected, kVerifyRejected, kLegal };
+
+struct GateResult {
+  Gate gate = Gate::kQuickRejected;
+  CostReport cost;  ///< the candidate's cost when gate == kLegal
+};
+
+/// One candidate through the search's three gates on the compiled spec:
+///   1. sampled causality of the computed dependences at `sample`;
+///   2. the input-arrival shift — computed-dependence legality is
+///      shift-invariant, input arrival is not, so map.t0 grows until
+///      every element starts no earlier than its input operands can
+///      reach it — then verify_ok under `opts`;
+///   3. evaluate_cost.
+/// A candidate that passes gate 1 is lowered once (EvalContext::place):
+/// the shift, the legality pass and the cost pass all read that one PE
+/// table.  `map` comes back shifted.  search_affine runs this per slot.
+[[nodiscard]] GateResult run_gates(const CompiledSpec& cs,
+                                   const QuickSample& sample,
+                                   const VerifyOptions& opts, AffineMap& map,
+                                   EvalContext& ctx);
+
 /// The parallel enumeration kernel, generic over the fork-join context
 /// so analyze::RaceCtx can replay it under the SP-bags determinacy-race
 /// detector (tests/analyze_race_test.cpp certifies it clean).

@@ -185,21 +185,51 @@ void DeltaEval::set_bad(std::uint64_t e, bool bad) {
   causality_bad_ += bad ? 1 : -1;
 }
 
+std::size_t DeltaEval::occ_home(std::uint64_t key) const {
+  // Fibonacci hashing: the top bits of key * 2^64/phi.
+  return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >>
+                                  occ_shift_);
+}
+
+std::size_t DeltaEval::occ_find(std::uint64_t key) const {
+  const std::size_t mask = occ_key_.size() - 1;
+  std::size_t i = occ_home(key);
+  while (occ_key_[i] != key && occ_key_[i] != kNoOcc) i = (i + 1) & mask;
+  return i;
+}
+
 void DeltaEval::occ_insert(std::size_t pe, Cycle c) {
   const std::uint64_t key = (static_cast<std::uint64_t>(pe) << 40) |
                             static_cast<std::uint64_t>(c);
-  if (++occ_[key] >= 2) ++excl_extra_;
+  const std::size_t i = occ_find(key);
+  if (occ_key_[i] == kNoOcc) {
+    occ_key_[i] = key;
+    occ_count_[i] = 0;
+  }
+  if (++occ_count_[i] >= 2) ++excl_extra_;
 }
 
 void DeltaEval::occ_erase(std::size_t pe, Cycle c) {
   const std::uint64_t key = (static_cast<std::uint64_t>(pe) << 40) |
                             static_cast<std::uint64_t>(c);
-  const auto it = occ_.find(key);
-  if (--it->second >= 1) {
+  std::size_t hole = occ_find(key);
+  if (--occ_count_[hole] >= 1) {
     --excl_extra_;
-  } else {
-    occ_.erase(it);
+    return;
   }
+  // Backward-shift deletion: pull each later entry of the probe run
+  // into the hole unless its home lies cyclically in (hole, j].
+  const std::size_t mask = occ_key_.size() - 1;
+  for (std::size_t j = (hole + 1) & mask; occ_key_[j] != kNoOcc;
+       j = (j + 1) & mask) {
+    const std::size_t home = occ_home(occ_key_[j]);
+    if (((j - home) & mask) >= ((j - hole) & mask)) {
+      occ_key_[hole] = occ_key_[j];
+      occ_count_[hole] = occ_count_[j];
+      hole = j;
+    }
+  }
+  occ_key_[hole] = kNoOcc;
 }
 
 void DeltaEval::hist_insert(Cycle c) {
@@ -215,19 +245,22 @@ void DeltaEval::hist_erase(Cycle c) {
   }
 }
 
-void DeltaEval::route_add(std::size_t from, std::size_t to, bool add) {
-  if (from == to) return;
+void DeltaEval::sync_links() {
   const CompiledSpec& cs = *ss_->cs;
   const auto bits = static_cast<std::uint64_t>(cs.bits);
-  const std::size_t r = from * P_ + to;
-  for (std::uint32_t o = cs.route_offsets[r]; o < cs.route_offsets[r + 1];
-       ++o) {
-    if (add) {
-      link_bits_[cs.route_links[o]] += bits;
-    } else {
-      link_bits_[cs.route_links[o]] -= bits;
+  for (const std::uint32_t r : link_dirty_list_) {
+    // Net transfers added since the last sync (wrapping, so a net
+    // removal subtracts), walked once along the pair's route.
+    const std::uint64_t delta = n_transfer_[r] - link_synced_[r];
+    link_synced_[r] = n_transfer_[r];
+    link_dirty_[r] = 0;
+    if (delta == 0) continue;
+    for (std::uint32_t o = cs.route_offsets[r]; o < cs.route_offsets[r + 1];
+         ++o) {
+      link_bits_[cs.route_links[o]] += delta * bits;
     }
   }
+  link_dirty_list_.clear();
 }
 
 /// One on-chip transfer (or local access when from == to): the cost
@@ -241,20 +274,16 @@ void DeltaEval::movement_add(std::size_t from, std::size_t to, bool add) {
     }
     return;
   }
-  const CompiledSpec& cs = *ss_->cs;
-  const std::uint64_t hops =
-      static_cast<std::uint64_t>(cs.bits) *
-      static_cast<std::uint64_t>(cs.hop_count[from * P_ + to]);
+  const std::size_t r = from * P_ + to;
   if (add) {
-    ++n_transfer_[from * P_ + to];
-    ++messages_;
-    bit_hops_ += hops;
+    ++n_transfer_[r];
   } else {
-    --n_transfer_[from * P_ + to];
-    --messages_;
-    bit_hops_ -= hops;
+    --n_transfer_[r];
   }
-  route_add(from, to, add);
+  if (link_dirty_[r] == 0) {
+    link_dirty_[r] = 1;
+    link_dirty_list_.push_back(static_cast<std::uint32_t>(r));
+  }
 }
 
 /// The once-per-(ordinal, PE) delivery contribution.
@@ -293,7 +322,13 @@ void DeltaEval::deliv_change(const CompiledDep& d, std::size_t pe, bool add) {
   }
 }
 
+// Output target: every value lives until the makespan, past every
+// definition, so a PE's peak is its resident count and needs no list.
 void DeltaEval::value_insert(std::int64_t v, std::size_t pe) {
+  if (output_) {
+    set_peak(pe, pe_peak_[pe] + 1);
+    return;
+  }
   auto& list = pe_values_[pe];
   value_pos_[static_cast<std::size_t>(v)] =
       static_cast<std::uint32_t>(list.size());
@@ -302,6 +337,10 @@ void DeltaEval::value_insert(std::int64_t v, std::size_t pe) {
 }
 
 void DeltaEval::value_erase(std::int64_t v, std::size_t pe) {
+  if (output_) {
+    set_peak(pe, pe_peak_[pe] - 1);
+    return;
+  }
   auto& list = pe_values_[pe];
   const std::uint32_t pos = value_pos_[static_cast<std::size_t>(v)];
   const std::int64_t last = list.back();
@@ -317,15 +356,17 @@ void DeltaEval::mark_storage_dirty(std::size_t pe) {
   dirty_list_.push_back(static_cast<std::int32_t>(pe));
 }
 
-std::int64_t DeltaEval::pe_peak_of(std::size_t pe) {
-  const auto& list = pe_values_[pe];
-  if (output_) {
-    // Every value lives until the makespan, past every definition, so
-    // the sweep's running max is just the resident count.
-    return static_cast<std::int64_t>(list.size());
+void DeltaEval::set_peak(std::size_t pe, std::int64_t peak) {
+  const std::int64_t cap = ss_->cs->pe_capacity_values;
+  if ((pe_peak_[pe] > cap) != (peak > cap)) {
+    storage_over_ += peak > cap ? 1 : -1;
   }
+  pe_peak_[pe] = peak;
+}
+
+std::int64_t DeltaEval::pe_peak_of(std::size_t pe) {
   ev_scratch_.clear();
-  for (const std::int64_t v : list) {
+  for (const std::int64_t v : pe_values_[pe]) {
     const auto vi = static_cast<std::size_t>(v);
     const Cycle def = tm_.cycle[vi];
     const Cycle last = std::max(def, cons_last_[vi]);
@@ -345,13 +386,9 @@ std::int64_t DeltaEval::pe_peak_of(std::size_t pe) {
 }
 
 void DeltaEval::flush_storage() {
-  const std::int64_t cap = ss_->cs->pe_capacity_values;
   for (const std::int32_t q : dirty_list_) {
     const auto pe = static_cast<std::size_t>(q);
-    const bool was_over = pe_peak_[pe] > cap;
-    pe_peak_[pe] = pe_peak_of(pe);
-    const bool now_over = pe_peak_[pe] > cap;
-    if (was_over != now_over) storage_over_ += now_over ? 1 : -1;
+    set_peak(pe, pe_peak_of(pe));
     pe_dirty_[pe] = 0;
   }
   dirty_list_.clear();
@@ -376,7 +413,7 @@ void DeltaEval::reset(const TableMap& tm) {
   }
   tm_ = tm;
 
-  n_local_ = messages_ = bit_hops_ = 0;
+  n_local_ = 0;
   n_dram_.assign(P_, 0);
   n_transfer_.assign(P_ * P_, 0);
   deliv_.assign(static_cast<std::size_t>(cs.num_input_values) * P_, 0);
@@ -384,9 +421,21 @@ void DeltaEval::reset(const TableMap& tm) {
   max_cycle_ = 0;
   edge_bad_.assign(cs.deps.size(), 0);
   causality_bad_ = 0;
-  occ_.clear();
+  // At most n distinct slots, so a table of 2n or more stays at most
+  // half full.
+  std::size_t cap = 2;
+  occ_shift_ = 63;
+  while (cap < 2 * n) {
+    cap *= 2;
+    --occ_shift_;
+  }
+  occ_key_.assign(cap, kNoOcc);
+  occ_count_.assign(cap, 0);
   excl_extra_ = 0;
   link_bits_.assign(P_ * 4, 0);
+  link_synced_.assign(P_ * P_, 0);
+  link_dirty_.assign(P_ * P_, 0);
+  link_dirty_list_.clear();
   cons_last_.assign(n, -1);
   pe_values_.assign(P_, {});
   value_pos_.assign(n, 0);
@@ -424,75 +473,6 @@ void DeltaEval::reset(const TableMap& tm) {
   }
 }
 
-void DeltaEval::remove_op(std::int64_t u) {
-  const CompiledSpec& cs = *ss_->cs;
-  const auto ui = static_cast<std::size_t>(u);
-  const auto pe = static_cast<std::size_t>(tm_.pe[ui]);
-  const Cycle when = tm_.cycle[ui];
-  occ_erase(pe, when);
-  hist_erase(when);
-  value_erase(u, pe);
-  for (std::uint64_t e = cs.dep_offsets[ui]; e < cs.dep_offsets[ui + 1];
-       ++e) {
-    const CompiledDep& d = cs.deps[e];
-    if (d.kind == CompiledDep::kComputed) {
-      movement_add(static_cast<std::size_t>(
-                       tm_.pe[static_cast<std::size_t>(d.dep_lin)]),
-                   pe, false);
-    } else {
-      deliv_change(d, pe, false);
-    }
-    set_bad(e, false);
-  }
-  for (std::uint64_t o = ss_->consumer_offsets[ui];
-       o < ss_->consumer_offsets[ui + 1]; ++o) {
-    const StrategySpec::ConsumerRef& cr = ss_->consumers[o];
-    if (cr.op == u) continue;  // self-edge already handled above
-    movement_add(pe,
-                 static_cast<std::size_t>(
-                     tm_.pe[static_cast<std::size_t>(cr.op)]),
-                 false);
-    set_bad(cr.edge, false);
-  }
-}
-
-void DeltaEval::add_op(std::int64_t u) {
-  const CompiledSpec& cs = *ss_->cs;
-  const auto ui = static_cast<std::size_t>(u);
-  const auto pe = static_cast<std::size_t>(tm_.pe[ui]);
-  const Cycle when = tm_.cycle[ui];
-  occ_insert(pe, when);
-  hist_insert(when);
-  value_insert(u, pe);
-  for (std::uint64_t e = cs.dep_offsets[ui]; e < cs.dep_offsets[ui + 1];
-       ++e) {
-    const CompiledDep& d = cs.deps[e];
-    if (d.kind == CompiledDep::kComputed) {
-      const auto w = static_cast<std::size_t>(d.dep_lin);
-      const auto there = static_cast<std::size_t>(tm_.pe[w]);
-      movement_add(there, pe, true);
-      const Cycle need =
-          tm_.cycle[w] + std::max<Cycle>(1, cs.transit[there * P_ + pe]);
-      set_bad(e, when < need);
-    } else {
-      deliv_change(d, pe, true);
-      set_bad(e,
-              when < input_need(cs, d, tm_.input_home[d.input_ord], pe));
-    }
-  }
-  for (std::uint64_t o = ss_->consumer_offsets[ui];
-       o < ss_->consumer_offsets[ui + 1]; ++o) {
-    const StrategySpec::ConsumerRef& cr = ss_->consumers[o];
-    if (cr.op == u) continue;
-    const auto ci = static_cast<std::size_t>(cr.op);
-    const auto cpe = static_cast<std::size_t>(tm_.pe[ci]);
-    movement_add(pe, cpe, true);
-    const Cycle need =
-        when + std::max<Cycle>(1, cs.transit[pe * P_ + cpe]);
-    set_bad(cr.edge, tm_.cycle[ci] < need);
-  }
-}
-
 void DeltaEval::update_producer_last_use(std::int64_t u) {
   if (output_) return;  // last-use plays no role: peaks are counts
   const CompiledSpec& cs = *ss_->cs;
@@ -516,11 +496,60 @@ void DeltaEval::update_producer_last_use(std::int64_t u) {
   }
 }
 
-void DeltaEval::apply_replace(std::int64_t u, std::int32_t pe, Cycle cycle) {
-  remove_op(u);
-  tm_.pe[static_cast<std::size_t>(u)] = pe;
-  tm_.cycle[static_cast<std::size_t>(u)] = cycle;
-  add_op(u);
+/// Moves op u to (new_pe, when) in one pass over its edges: each
+/// edge's transfer leaves the old pair and joins the new one (nothing
+/// to do when u stays on its PE) and its causality bit is recomputed.
+void DeltaEval::apply_replace(std::int64_t u, std::int32_t new_pe,
+                              Cycle when) {
+  const CompiledSpec& cs = *ss_->cs;
+  const auto ui = static_cast<std::size_t>(u);
+  const auto old_pe = static_cast<std::size_t>(tm_.pe[ui]);
+  const auto pe = static_cast<std::size_t>(new_pe);
+  occ_erase(old_pe, tm_.cycle[ui]);
+  hist_erase(tm_.cycle[ui]);
+  value_erase(u, old_pe);
+  tm_.pe[ui] = new_pe;
+  tm_.cycle[ui] = when;
+  occ_insert(pe, when);
+  hist_insert(when);
+  value_insert(u, pe);
+  const bool moved = pe != old_pe;
+  for (std::uint64_t e = cs.dep_offsets[ui]; e < cs.dep_offsets[ui + 1];
+       ++e) {
+    const CompiledDep& d = cs.deps[e];
+    if (d.kind == CompiledDep::kComputed) {
+      const auto w = static_cast<std::size_t>(d.dep_lin);
+      const auto there = static_cast<std::size_t>(tm_.pe[w]);
+      if (moved) {
+        // A self-edge's producer moved with it.
+        movement_add(w == ui ? old_pe : there, old_pe, false);
+        movement_add(there, pe, true);
+      }
+      const Cycle need =
+          tm_.cycle[w] + std::max<Cycle>(1, cs.transit[there * P_ + pe]);
+      set_bad(e, when < need);
+    } else {
+      if (moved) {
+        deliv_change(d, old_pe, false);
+        deliv_change(d, pe, true);
+      }
+      set_bad(e,
+              when < input_need(cs, d, tm_.input_home[d.input_ord], pe));
+    }
+  }
+  for (std::uint64_t o = ss_->consumer_offsets[ui];
+       o < ss_->consumer_offsets[ui + 1]; ++o) {
+    const StrategySpec::ConsumerRef& cr = ss_->consumers[o];
+    if (cr.op == u) continue;  // self-edge handled above
+    const auto ci = static_cast<std::size_t>(cr.op);
+    const auto cpe = static_cast<std::size_t>(tm_.pe[ci]);
+    if (moved) {
+      movement_add(old_pe, cpe, false);
+      movement_add(pe, cpe, true);
+    }
+    const Cycle need = when + std::max<Cycle>(1, cs.transit[pe * P_ + cpe]);
+    set_bad(cr.edge, tm_.cycle[ci] < need);
+  }
   update_producer_last_use(u);
 }
 
@@ -607,7 +636,8 @@ std::uint64_t DeltaEval::storage_violations() {
   return storage_over_;
 }
 
-std::uint64_t DeltaEval::bandwidth_violations() const {
+std::uint64_t DeltaEval::bandwidth_violations() {
+  sync_links();
   const double cap = ss_->cs->link_bits_per_cycle;
   const auto makespan = static_cast<double>(max_cycle_ + 1);
   std::uint64_t over = 0;
@@ -630,13 +660,15 @@ CostReport DeltaEval::cost_report() const {
     rep.dram_energy +=
         cs.dram_energy[q] * static_cast<double>(n_dram_[q]);
   }
+  const auto bits = static_cast<std::uint64_t>(cs.bits);
   for (std::size_t e = 0; e < P_ * P_; ++e) {
     if (n_transfer_[e] == 0) continue;
     rep.onchip_movement_energy +=
         cs.transfer_energy[e] * static_cast<double>(n_transfer_[e]);
+    rep.messages += n_transfer_[e];
+    rep.bit_hops +=
+        n_transfer_[e] * bits * static_cast<std::uint64_t>(cs.hop_count[e]);
   }
-  rep.messages = messages_;
-  rep.bit_hops = bit_hops_;
   rep.makespan = cs.cycle * static_cast<double>(rep.makespan_cycles);
   return rep;
 }

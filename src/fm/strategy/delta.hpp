@@ -29,7 +29,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "fm/compiled.hpp"
@@ -131,7 +130,7 @@ class DeltaEval {
     return excl_extra_;
   }
   [[nodiscard]] std::uint64_t storage_violations();
-  [[nodiscard]] std::uint64_t bandwidth_violations() const;
+  [[nodiscard]] std::uint64_t bandwidth_violations();
 
   [[nodiscard]] Cycle makespan_cycles() const { return max_cycle_ + 1; }
 
@@ -146,21 +145,22 @@ class DeltaEval {
 
  private:
   void set_bad(std::uint64_t e, bool bad);
+  [[nodiscard]] std::size_t occ_home(std::uint64_t key) const;
+  [[nodiscard]] std::size_t occ_find(std::uint64_t key) const;
   void occ_insert(std::size_t pe, Cycle c);
   void occ_erase(std::size_t pe, Cycle c);
   void hist_insert(Cycle c);
   void hist_erase(Cycle c);
-  void route_add(std::size_t from, std::size_t to, bool add);
+  void sync_links();
   void movement_add(std::size_t from, std::size_t to, bool add);
   void delivery_add(const CompiledDep& d, std::size_t pe, bool add);
   void deliv_change(const CompiledDep& d, std::size_t pe, bool add);
   void value_insert(std::int64_t v, std::size_t pe);
   void value_erase(std::int64_t v, std::size_t pe);
-  void remove_op(std::int64_t u);
-  void add_op(std::int64_t u);
   void apply_replace(std::int64_t u, std::int32_t pe, Cycle cycle);
   void apply_shift_home(std::int64_t ord, std::int32_t pe);
   void update_producer_last_use(std::int64_t u);
+  void set_peak(std::size_t pe, std::int64_t peak);
   void mark_storage_dirty(std::size_t pe);
   void flush_storage();
   [[nodiscard]] std::int64_t pe_peak_of(std::size_t pe);
@@ -173,8 +173,6 @@ class DeltaEval {
 
   // Cost counters (exact integers).
   std::uint64_t n_local_ = 0;
-  std::uint64_t messages_ = 0;
-  std::uint64_t bit_hops_ = 0;
   std::vector<std::uint64_t> n_dram_;      // per PE
   std::vector<std::uint64_t> n_transfer_;  // per [from * P + to]
   std::vector<std::uint32_t> deliv_;       // reads per (ord * P + pe)
@@ -187,13 +185,25 @@ class DeltaEval {
   std::vector<std::uint8_t> edge_bad_;
   std::uint64_t causality_bad_ = 0;
 
-  // Exclusivity: (pe << 40 | cycle) occupancy; excl_extra_ counts the
-  // same pairs verify()'s sorted-duplicate scan does (c - 1 per slot).
-  std::unordered_map<std::uint64_t, std::uint32_t> occ_;
+  // Exclusivity: (pe << 40 | cycle) occupancy counts in an open-
+  // addressed table (linear probing, at most half full), so a move
+  // never touches the allocator; excl_extra_ counts the same pairs
+  // verify()'s duplicate scan does (c - 1 per slot).
+  static constexpr std::uint64_t kNoOcc = ~std::uint64_t{0};
+  std::vector<std::uint64_t> occ_key_;
+  std::vector<std::uint32_t> occ_count_;
+  unsigned occ_shift_ = 63;
   std::uint64_t excl_extra_ = 0;
 
-  // Bandwidth: exact per-directed-link bits (always maintained).
+  // Bandwidth: exact per-directed-link bits, brought up to date from
+  // the per-pair transfer counts when read.  A move only marks the
+  // pairs whose count it changed; sync_links() walks each marked
+  // pair's route once, for its net change since the last sync, so a
+  // move and its undo between two reads cost no route walk.
   std::vector<std::uint64_t> link_bits_;
+  std::vector<std::uint64_t> link_synced_;  // n_transfer_ at last sync
+  std::vector<std::uint8_t> link_dirty_;
+  std::vector<std::uint32_t> link_dirty_list_;
 
   // Storage.  Output target: every value lives to the makespan, so the
   // per-PE peak is just the value count.  Otherwise: per-value last-use

@@ -1,19 +1,30 @@
 // Compiled candidate evaluation (fm/compiled.hpp): bit-exact parity of
 // the flat fast path against the legacy FunctionSpec oracles and the
-// executing GridMachine ledger, the delivered-set key-packing overflow
-// regression, EvalContext reuse, and precompiled parallel search parity.
+// executing GridMachine ledger, a randomized parity sweep over specs,
+// machines, affine and table maps, off-grid placements, the
+// delivered-set key-packing overflow regression, EvalContext reuse, and
+// precompiled parallel search parity.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iostream>
+#include <map>
 #include <memory>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "algos/editdist.hpp"
+#include "algos/matmul.hpp"
 #include "algos/specs.hpp"
 #include "fm/compiled.hpp"
 #include "fm/idioms.hpp"
 #include "fm/search.hpp"
+#include "fm/strategy/table_map.hpp"
 #include "sched/scheduler.hpp"
+#include "support/rng.hpp"
 
 namespace harmony::fm {
 namespace {
@@ -179,6 +190,218 @@ TEST(CompiledCost, FourBranchSpecMatchesLegacyAndMachineLedger) {
   EXPECT_EQ(res.bit_hops, legacy.bit_hops);
   EXPECT_EQ(res.outputs[0],
             f.spec.evaluate_reference({a_data, b_data})[0]);
+}
+
+/// Input homes for every input tensor of `spec`: block-distributed over
+/// the grid, or all in DRAM.
+Mapping input_homes(const FunctionSpec& spec, const MachineConfig& cfg,
+                    bool dram) {
+  Mapping proto;
+  for (TensorId in : spec.input_tensors()) {
+    proto.set_input(in, dram ? InputHome::dram()
+                             : InputHome::distributed(
+                                   block_distribution(spec.domain(in),
+                                                      cfg.geom).place));
+  }
+  return proto;
+}
+
+TEST(CompiledParity, RandomizedSweepMatchesLegacyOracles) {
+  // Fixed seed and count.  Affine coefficients reach |c| >= cols and
+  // negative steps, so the PE table's odometer wraps every way;
+  // table maps draw PEs and cycles from small ranges, so collisions,
+  // negative cycles and over-capacity PEs are common.  Every case
+  // compares the full report (diagnostic text and order, peaks), the
+  // first-violation gate and the cost report with the legacy oracles.
+  struct SpecCase {
+    std::string name;
+    FunctionSpec spec;
+    bool four_branch = false;
+  };
+  std::vector<SpecCase> specs;
+  {
+    algos::SwScores sw;
+    specs.push_back({"editdist:5x5", algos::editdist_spec(5, 5, sw)});
+    specs.push_back({"stencil:6,3", algos::stencil1d_spec(6, 3)});
+    specs.push_back({"conv:5,3", algos::conv1d_spec(5, 3)});
+    specs.push_back({"matmul:3", algos::matmul_spec(3)});
+    specs.push_back({"irregular:20,3,7", algos::irregular_dag_spec(20, 3, 7)});
+    specs.push_back({"irregular-nonoutput:20,3,9",
+                     algos::irregular_dag_spec(20, 3, 9, /*output=*/false)});
+    specs.push_back({"four-branch", four_branch_spec(true).spec, true});
+    specs.push_back(
+        {"four-branch-nonoutput", four_branch_spec(false).spec, true});
+  }
+  const std::vector<std::pair<int, int>> grids = {
+      {1, 5}, {5, 1}, {2, 2}, {3, 4}, {7, 7}};
+  const std::vector<std::int64_t> capacities = {
+      1, 2, make_machine(1, 1).pe_capacity_values};
+  // The default link capacity, and a narrow one that average traffic
+  // can exceed (FM004).
+  const std::vector<double> link_caps = {
+      make_machine(1, 1).link_bits_per_cycle, 4.0};
+
+  struct Compiled {
+    MachineConfig cfg;
+    Mapping proto;
+    std::shared_ptr<const CompiledSpec> cs;
+  };
+  std::map<std::tuple<std::size_t, std::size_t, std::size_t, std::size_t,
+                      bool>,
+           Compiled>
+      compiled;
+
+  Rng rng(0xC0FFEEu);
+  const auto coef = [&] { return rng.next_int(-7, 7); };
+  std::uint64_t fm001 = 0, fm002 = 0, fm003 = 0, fm004 = 0, legal = 0;
+  constexpr int kCases = 2000;
+  for (int c = 0; c < kCases; ++c) {
+    const auto si = static_cast<std::size_t>(
+        rng.next_below(specs.size()));
+    const auto gi = static_cast<std::size_t>(rng.next_below(grids.size()));
+    const auto ci =
+        static_cast<std::size_t>(rng.next_below(capacities.size()));
+    const auto li =
+        static_cast<std::size_t>(rng.next_below(link_caps.size()));
+    const bool dram = rng.next_below(2) == 0;
+    const SpecCase& sc = specs[si];
+    const auto key = std::make_tuple(si, gi, ci, li, dram);
+    auto it = compiled.find(key);
+    if (it == compiled.end()) {
+      const auto [cols, rows] = grids[gi];
+      MachineConfig cfg = make_machine(cols, rows);
+      cfg.pe_capacity_values = capacities[ci];
+      cfg.link_bits_per_cycle = link_caps[li];
+      Mapping proto;
+      if (sc.four_branch) {
+        // Tensor ids 0 and 1 are the inputs a and b; b lives on a PE
+        // that exists on every grid (PE 1 in index order).
+        proto.set_input(0, dram ? InputHome::dram() : InputHome::at({0, 0}));
+        proto.set_input(1, InputHome::at(cfg.geom.coord(1)));
+      } else {
+        proto = input_homes(sc.spec, cfg, dram);
+      }
+      auto cs = compile_spec(sc.spec, cfg, proto);
+      it = compiled.emplace(key, Compiled{cfg, proto, cs}).first;
+    }
+    const Compiled& k = it->second;
+    const CompiledSpec& cs = *k.cs;
+    const TensorId target = cs.target;
+    VerifyOptions opts;
+    opts.check_storage = rng.next_below(5) != 0;
+    opts.check_bandwidth = rng.next_below(5) != 0;
+    opts.max_messages = static_cast<std::size_t>(rng.next_int(0, 8));
+    EvalContext ctx(cs);
+
+    std::ostringstream what;
+    what << "case " << c << ": " << sc.name << " on " << cs.cols << "x"
+         << cs.rows << " capacity " << cs.pe_capacity_values << " link "
+         << cs.link_bits_per_cycle
+         << (dram ? " dram inputs" : " pe inputs");
+    LegalityReport rep;
+    if (rng.next_below(2) == 0) {
+      const AffineMap map{.ti = coef(), .tj = coef(), .tk = coef(),
+                          .t0 = rng.next_int(-3, 20),
+                          .xi = coef(), .xj = coef(), .xk = coef(),
+                          .x0 = rng.next_int(-9, 9),
+                          .yi = coef(), .yj = coef(), .yk = coef(),
+                          .y0 = rng.next_int(-9, 9),
+                          .cols = cs.cols, .rows = cs.rows};
+      what << " affine t=(" << map.ti << "," << map.tj << "," << map.tk
+           << "," << map.t0 << ") x=(" << map.xi << "," << map.xj << ","
+           << map.xk << "," << map.x0 << ") y=(" << map.yi << "," << map.yj
+           << "," << map.yk << "," << map.y0 << ")";
+      SCOPED_TRACE(what.str());
+      const Mapping m = materialize(sc.spec, target, map, k.proto);
+      const LegalityReport legacy = verify(sc.spec, m, k.cfg, opts);
+      rep = verify(cs, map, ctx, opts);
+      expect_legality_identical(rep, legacy);
+      EXPECT_EQ(verify_ok(cs, map, ctx, opts), rep.ok);
+      expect_cost_identical(evaluate_cost(cs, map, ctx),
+                            evaluate_cost(sc.spec, m, k.cfg));
+    } else {
+      TableMap tm = table_from_affine(cs, AffineMap{.cols = cs.cols,
+                                                    .rows = cs.rows});
+      const auto pes = static_cast<std::int64_t>(
+          rng.next_int(1, static_cast<std::int64_t>(cs.num_pes)));
+      const std::int64_t span = rng.next_int(1, cs.num_points + 2);
+      for (std::size_t v = 0; v < tm.pe.size(); ++v) {
+        tm.pe[v] = static_cast<std::int32_t>(rng.next_below(
+            static_cast<std::uint64_t>(pes)));
+        tm.cycle[v] = rng.next_int(-2, span);
+      }
+      for (std::int32_t& home : tm.input_home) {
+        if (home >= 0) {
+          home = static_cast<std::int32_t>(rng.next_below(cs.num_pes));
+        }
+      }
+      what << " table over " << pes << " PEs and cycles [-2, " << span
+           << "]";
+      SCOPED_TRACE(what.str());
+      const Mapping m = to_mapping(sc.spec, tm);
+      const LegalityReport legacy = verify(sc.spec, m, k.cfg, opts);
+      rep = verify(cs, tm, ctx, opts);
+      expect_legality_identical(rep, legacy);
+      EXPECT_EQ(verify_ok(cs, tm, ctx, opts), rep.ok);
+      expect_cost_identical(evaluate_cost(cs, tm, ctx),
+                            evaluate_cost(sc.spec, m, k.cfg));
+    }
+    fm001 += rep.causality_violations > 0 ? 1 : 0;
+    fm002 += rep.exclusivity_violations > 0 ? 1 : 0;
+    fm003 += rep.storage_violations > 0 ? 1 : 0;
+    fm004 += rep.bandwidth_violations > 0 ? 1 : 0;
+    legal += rep.ok ? 1 : 0;
+  }
+  // Every rule and the accepting path must have been exercised.
+  EXPECT_GT(fm001, 0u);
+  EXPECT_GT(fm002, 0u);
+  EXPECT_GT(fm003, 0u);
+  EXPECT_GT(fm004, 0u);
+  EXPECT_GT(legal, 0u);
+  std::cout << "sweep: " << kCases << " cases, FM001 " << fm001
+            << ", FM002 " << fm002 << ", FM003 " << fm003 << ", FM004 "
+            << fm004 << ", legal " << legal << "\n";
+}
+
+TEST(CompiledPlacement, OffGridAffineMapThrowsLikeLegacy) {
+  // A map wider than the compiled grid places points the machine does
+  // not have.  The legacy oracles throw (GridGeometry::index asserts);
+  // the compiled path must throw too rather than index past its tables.
+  algos::SwScores s;
+  const FunctionSpec spec = algos::editdist_spec(6, 6, s);
+  const MachineConfig cfg = make_machine(4, 1);
+  const Mapping proto = input_homes(spec, cfg, /*dram=*/false);
+  const auto cs = compile_spec(spec, cfg, proto);
+  const TensorId target = spec.computed_tensors()[0];
+  EvalContext ctx(*cs);
+
+  const AffineMap wide{.ti = 1, .tj = 1, .xi = 1, .cols = 8, .rows = 1};
+  const Mapping wide_m = materialize(spec, target, wide, proto);
+  EXPECT_THROW((void)verify(spec, wide_m, cfg), std::logic_error);
+  EXPECT_THROW((void)evaluate_cost(spec, wide_m, cfg), std::logic_error);
+  EXPECT_THROW((void)verify(*cs, wide, ctx), std::logic_error);
+  EXPECT_THROW((void)verify_ok(*cs, wide, ctx), std::logic_error);
+  EXPECT_THROW((void)evaluate_cost(*cs, wide, ctx), std::logic_error);
+
+  // Narrower than the grid: every point is on it, and both paths agree.
+  const AffineMap narrow{.ti = 1, .tj = 1, .xi = 1, .cols = 3, .rows = 1};
+  const Mapping narrow_m = materialize(spec, target, narrow, proto);
+  const LegalityReport legacy = verify(spec, narrow_m, cfg);
+  expect_legality_identical(verify(*cs, narrow, ctx), legacy);
+  EXPECT_EQ(verify_ok(*cs, narrow, ctx), legacy.ok);
+  expect_cost_identical(evaluate_cost(*cs, narrow, ctx),
+                        evaluate_cost(spec, narrow_m, cfg));
+
+  // A table whose PE index is outside [0, P) is rejected the same way.
+  TableMap tm = table_from_affine(*cs, AffineMap{.ti = 1, .tj = 1, .xi = 1,
+                                                 .cols = 4, .rows = 1});
+  for (const std::int32_t bad : {-1, 4}) {
+    tm.pe[3] = bad;
+    EXPECT_THROW((void)verify(*cs, tm, ctx), std::logic_error) << bad;
+    EXPECT_THROW((void)verify_ok(*cs, tm, ctx), std::logic_error) << bad;
+    EXPECT_THROW((void)evaluate_cost(*cs, tm, ctx), std::logic_error)
+        << bad;
+  }
 }
 
 TEST(CompiledCost, DeliveredKeyPackingOverflowRegression) {

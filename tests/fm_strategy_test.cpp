@@ -73,10 +73,16 @@ struct Fixture {
   std::shared_ptr<const StrategySpec> ss;
 };
 
+/// `tight` shrinks the PE and link capacities until random tables
+/// overflow both (FM003, FM004).
 Fixture make_fixture(std::int64_t n, bool output, int cols = 2,
-                     int rows = 2) {
+                     int rows = 2, bool tight = false) {
   Fixture f{algos::irregular_dag_spec(n, 3, 0xD46u, output),
             make_machine(cols, rows), Mapping{}, nullptr, nullptr};
+  if (tight) {
+    f.cfg.pe_capacity_values = 2;
+    f.cfg.link_bits_per_cycle = 1.0;
+  }
   for (TensorId in : f.spec.input_tensors()) {
     f.proto.set_input(in, InputHome::distributed(
                               block_distribution(f.spec.domain(in),
@@ -204,38 +210,47 @@ TEST(DeltaEval, RandomMoveSequenceParity) {
   // maintained state is bit-identical to a fresh reset() on the same
   // table, agrees with the compiled verifier/cost oracles, and undoing
   // the whole sequence restores the initial state exactly.
-  for (const bool output : {true, false}) {
-    SCOPED_TRACE(output ? "output target" : "intermediate target");
-    const Fixture f = make_fixture(20, output);
-    EvalContext ctx(*f.cs);
-    const TableMap seed = seed_table(*f.ss);
+  std::uint64_t storage_over = 0, bandwidth_over = 0;
+  for (const bool tight : {false, true}) {
+    for (const bool output : {true, false}) {
+      SCOPED_TRACE(output ? "output target" : "intermediate target");
+      SCOPED_TRACE(tight ? "tight capacities" : "default capacities");
+      const Fixture f = make_fixture(20, output, 2, 2, tight);
+      EvalContext ctx(*f.cs);
+      const TableMap seed = seed_table(*f.ss);
 
-    DeltaEval inc(f.ss);
-    inc.reset(seed);
-    DeltaEval fresh(f.ss);
-    const CostReport initial = [&] {
-      fresh.reset(seed);
-      return fresh.cost_report();
-    }();
+      DeltaEval inc(f.ss);
+      inc.reset(seed);
+      DeltaEval fresh(f.ss);
+      const CostReport initial = [&] {
+        fresh.reset(seed);
+        return fresh.cost_report();
+      }();
 
-    Rng rng(0xC0FFEEu + (output ? 1 : 0));
-    std::vector<Move> inverses;
-    for (int step = 0; step < 240; ++step) {
-      inverses.push_back(inc.apply_move(random_move(*f.ss, rng)));
-      if (step % 16 == 7) {
-        fresh.reset(inc.table());
-        expect_state_identical(inc, fresh);
-        expect_matches_oracles(inc, ctx);
+      Rng rng(0xC0FFEEu + (output ? 1 : 0));
+      std::vector<Move> inverses;
+      for (int step = 0; step < 240; ++step) {
+        inverses.push_back(inc.apply_move(random_move(*f.ss, rng)));
+        if (step % 16 == 7) {
+          fresh.reset(inc.table());
+          expect_state_identical(inc, fresh);
+          expect_matches_oracles(inc, ctx);
+          storage_over += inc.storage_violations();
+          bandwidth_over += inc.bandwidth_violations();
+        }
       }
+      // Full unwind restores the seed state bit-for-bit.
+      for (auto it = inverses.rbegin(); it != inverses.rend(); ++it) {
+        inc.undo_move(*it);
+      }
+      expect_cost_identical(inc.cost_report(), initial);
+      fresh.reset(seed);
+      expect_state_identical(inc, fresh);
     }
-    // Full unwind restores the seed state bit-for-bit.
-    for (auto it = inverses.rbegin(); it != inverses.rend(); ++it) {
-      inc.undo_move(*it);
-    }
-    expect_cost_identical(inc.cost_report(), initial);
-    fresh.reset(seed);
-    expect_state_identical(inc, fresh);
   }
+  // The tight machines must have driven both lazily kept checks.
+  EXPECT_GT(storage_over, 0u);
+  EXPECT_GT(bandwidth_over, 0u);
 }
 
 TEST(DeltaEval, SwapIsSelfInverse) {
