@@ -19,8 +19,10 @@
 //
 // E22.b runs the full search serially and across fork-join lanes
 // sharing one pre-compiled spec, confirming the lanes return the serial
-// result bit-for-bit while the wall clock drops.  Two scaling columns:
-// measured wall-clock speedup (meaningful only when the host has that
+// result bit-for-bit while the wall clock drops.  One search takes a few
+// milliseconds, so each side is timed as searches per second over the
+// same minimum window E22.a uses; elapsed_ms is its inverse.  Two
+// scaling columns: measured wall-clock speedup (meaningful only when the host has that
 // many hardware threads — the JSON header records hardware_threads so a
 // reader can tell) and a *modeled* speedup from a WorkSpanCtx replay of
 // the exact search_lanes grain schedule (static head partition +
@@ -214,7 +216,7 @@ int main(int argc, char** argv) {
 
     // Quick-gate sample points, as search_affine picks them.
     const fm::QuickSample sample =
-        fm::quick_sample_points(dom, fm::SearchOptions{}.quick_sample);
+        fm::quick_sample_points(*cs, fm::SearchOptions{}.quick_sample);
 
     // Legacy inner loop: the pre-compiled search Evaluator verbatim —
     // spec dependence callbacks in the quick gate and the arrival
@@ -224,7 +226,8 @@ int main(int argc, char** argv) {
       for (const fm::AffineMap& cand : maps) {
         fm::AffineMap map = cand;
         bool plausible = true;
-        for (const fm::Point& p : sample.points) {
+        for (const fm::QuickSample::At& at : sample.points) {
+          const fm::Point& p = at.p;
           const fm::Cycle when = map.time(p);
           for (const fm::ValueRef& d : k.spec.deps(target, p)) {
             if (k.spec.is_input(d.tensor)) continue;
@@ -277,9 +280,13 @@ int main(int argc, char** argv) {
       return sum;
     };
 
-    // Compiled inner loop: search_affine's own three gates.
-    fm::EvalContext ctx(*cs);
+    // Compiled inner loop: search_affine's own three gates, with a fresh
+    // context (and so an empty digest store) per pass, as each search
+    // has, sized as the search sizes it: for no more placements than
+    // there are candidates.
     const auto compiled_pass = [&] {
+      fm::EvalContext ctx(*cs);
+      ctx.reserve_scratch(*cs, maps.size());
       Checksum sum;
       for (const fm::AffineMap& cand : maps) {
         fm::AffineMap map = cand;
@@ -345,25 +352,34 @@ int main(int argc, char** argv) {
     // cache does for repeated tunes of the same triple.
     base.compiled = fm::compile_spec(spec, cfg, proto);
 
-    // Serial and each lane count alternate within every round.
+    // Serial and each lane count alternate within every round; each
+    // sample is searches per second over a minimum window, since one
+    // search is a few milliseconds.
     const std::array<unsigned, 3> lane_counts = {2u, 4u, 8u};
     sched::Scheduler pool(8);
     fm::SearchResult serial;
     std::array<fm::SearchResult, 3> par;
-    const auto lanes_ms = [&](std::size_t i) {
+    const auto lanes_rate = [&](std::size_t i) {
       fm::SearchOptions opts = base;
       opts.scheduler = &pool;
       opts.num_workers = lane_counts[i];
-      return bench::time_ms(
-          [&] { par[i] = search_affine(spec, cfg, proto, opts); });
+      return bench::run_timed(
+          [&] { return search_affine(spec, cfg, proto, opts); }, min_seconds,
+          par[i]);
     };
-    const auto ms = bench::alternate<4>(
+    const auto rate = bench::alternate<4>(
         {[&] {
-           return bench::time_ms(
-               [&] { serial = search_affine(spec, cfg, proto, base); });
+           return bench::run_timed(
+               [&] { return search_affine(spec, cfg, proto, base); },
+               min_seconds, serial);
          },
-         [&] { return lanes_ms(0); }, [&] { return lanes_ms(1); },
-         [&] { return lanes_ms(2); }});
+         [&] { return lanes_rate(0); }, [&] { return lanes_rate(1); },
+         [&] { return lanes_rate(2); }});
+    // Milliseconds per search, per side and round.
+    std::array<std::vector<double>, 4> ms;
+    for (std::size_t side = 0; side < ms.size(); ++side) {
+      for (const double r : rate[side]) ms[side].push_back(1e3 / r);
+    }
     const double serial_ms = bench::median(ms[0]);
     sc.title("E22.b — precompiled search scaling, matmul " +
              std::to_string(n) + "^3 (" +

@@ -94,9 +94,10 @@ run_asan() {
     serve_wire_test serve_dist_test serve_stress_test sched_test \
     sched_robustness_test analyze_race_test analyze_lint_test \
     analyze_exec_test analyze_witness_test support_test fm_compiled_test \
-    fm_strategy_test fm_pipeline_test &&
+    fm_strategy_test fm_pipeline_test fm_search_parallel_test \
+    fm_search_driver_test &&
   ctest --test-dir build-asan --output-on-failure \
-    -R "serve|sched_test|sched_robustness|analyze|support|fm_compiled|fm_strategy|fm_pipeline"
+    -R "serve|sched_test|sched_robustness|analyze|support|fm_compiled|fm_strategy|fm_pipeline|fm_search_parallel|fm_search_driver"
 }
 
 run_tsan() {

@@ -20,13 +20,26 @@
 //   * the candidate-invariant compute-energy / total-ops sums, folded by
 //     the *same* addition loop the legacy evaluator runs.
 //
+// What is left per candidate splits in two (DESIGN.md §12):
+//   * the PlacementDigest — everything that depends only on where the
+//     points go: each point's PE (which fixes every computed edge's
+//     lag), each point's input arrival, the link loads and the
+//     placement-only cost sums;
+//   * the schedule pass — everything that depends on when they run:
+//     causality, exclusivity, storage, the bandwidth rate and makespan.
+// Every oracle below is a digest plus a schedule pass, for both map
+// views (AffineMap and TableMap) and both reporting policies.  The
+// search builds each placement's digest once per lane and keeps it in
+// the lane's DigestStore (DESIGN.md §15), so a candidate whose placement
+// was seen before pays only for its schedule.
+//
 // EvalContext is the per-lane scratch: an epoch-stamped delivered table
 // (one uint32 compare per dependence instead of an unordered_set insert;
 // cleared once per context, not once per candidate), the per-point PE
-// table of the candidate, and the reusable by-PE run, link and storage
-// buffers of the verifier.  One CompiledSpec is
-// shared read-only by all search lanes; each lane owns one EvalContext,
-// which keeps fm::search_lanes RaceCtx-certifiable.
+// and cycle tables of the candidate, the scratch digest, the schedule
+// pass's buffers and the digest store.  One CompiledSpec is shared
+// read-only by all search lanes; each lane owns one EvalContext, which
+// keeps fm::search_lanes RaceCtx-certifiable.
 //
 // Hard invariant: evaluate_cost(CompiledSpec) and verify(CompiledSpec)
 // are *bit-identical* to their FunctionSpec counterparts on every report
@@ -38,6 +51,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -108,9 +122,26 @@ struct CompiledSpec {
   std::vector<std::uint32_t> route_offsets;
   std::vector<std::uint32_t> route_links;
 
+  // --- latencies as 16-bit codes, for compact digests ---
+  /// Every distinct latency the tables hold (transit and DRAM),
+  /// ascending from index 1; index 0 is the "no input" code.  Codes
+  /// preserve order, so the max of codes is the code of the max.
+  std::vector<Cycle> latency;
+  /// Code of transit[e] and of dram_cycles[pe].
+  std::vector<std::uint16_t> transit_code;
+  std::vector<std::uint16_t> dram_code;
+  /// max over the table of max(1, transit): a computed edge with at
+  /// least this much slack is causal wherever its endpoints sit.
+  Cycle max_lag = 1;
+
   // --- flattened dependences, CSR over linearized target points ---
   std::vector<std::uint64_t> dep_offsets;  ///< num_points + 1 entries
   std::vector<CompiledDep> deps;
+  /// The computed dependences alone, in the same order: the edges of
+  /// point v are [edge_offsets[v], edge_offsets[v + 1]) and edge_src
+  /// holds each one's producer point.
+  std::vector<std::uint32_t> edge_offsets;
+  std::vector<std::uint32_t> edge_src;
   /// True when any edge reads an input tensor; false lets the search
   /// skip the input-arrival normalization sweep entirely.
   bool has_input_deps = false;
@@ -129,6 +160,12 @@ struct CompiledSpec {
   /// its extremes at domain corners, so this is exact — identical to the
   /// legacy per-point running max, in integer arithmetic.
   [[nodiscard]] Cycle makespan_cycles_of(const AffineMap& map) const;
+
+  /// Throws InvalidArgument unless `map`'s grid has at least one column
+  /// and row and fits inside the compiled grid — the precondition of
+  /// every AffineMap oracle here (a wider map places points the machine
+  /// does not have).
+  void require_fits(const AffineMap& map) const;
 };
 
 /// Freezes the triple into a CompiledSpec (one pass over the dependence
@@ -139,6 +176,121 @@ struct CompiledSpec {
 [[nodiscard]] std::shared_ptr<const CompiledSpec> compile_spec(
     const FunctionSpec& spec, const MachineConfig& machine,
     const Mapping& input_proto);
+
+/// An AffineMap's placement with every space coefficient and offset
+/// reduced into [0, cols) or [0, rows): two maps place every point alike
+/// exactly when these agree, so it is the digest store's key.
+struct ReducedPlacement {
+  std::int32_t x[4] = {};  ///< xi, xj, xk, x0 mod cols
+  std::int32_t y[4] = {};  ///< yi, yj, yk, y0 mod rows
+  std::int32_t cols = 1, rows = 1;
+
+  /// Requires map.cols and map.rows positive (CompiledSpec::require_fits).
+  [[nodiscard]] static ReducedPlacement of(const AffineMap& map);
+  [[nodiscard]] bool operator==(const ReducedPlacement&) const = default;
+};
+
+/// The placement-only sums of the cost model, added in the legacy
+/// evaluator's order so every double is bit-identical.
+struct PlacementCost {
+  Energy onchip_movement_energy = Energy::zero();
+  Energy local_access_energy = Energy::zero();
+  Energy dram_energy = Energy::zero();
+  std::uint64_t messages = 0;
+  std::uint64_t bit_hops = 0;
+};
+
+/// Everything about a candidate that depends only on its placement.
+/// Views into storage owned by an EvalContext (its scratch digest or its
+/// DigestStore).  Latencies are CompiledSpec::latency codes.  The PEs
+/// and arrivals are always built; the link loads and cost sums are
+/// completed on first need, so a candidate rejected before the
+/// bandwidth check or the cost pays for neither.
+struct PlacementDigest {
+  /// The placement, for a digest the search built (EvalContext::digest):
+  /// its store key, and what a later stage re-places from.
+  ReducedPlacement key;
+  /// Every point's PE: the placement itself, in 16 bits (compile_spec
+  /// caps the grid at 65535 PEs).  It fixes every computed edge's lag,
+  /// max(1, transit) between the two PEs, and the schedule pass sorts
+  /// each candidate's runs by it.
+  const std::uint16_t* pe = nullptr;
+  /// Per point: the code of its latest input arrival at its PE (DRAM
+  /// cycles, or transit from the input's home), 0 when it reads no
+  /// input.  Null when the spec reads no input at all.
+  const std::uint16_t* arrival = nullptr;
+  /// Directed-link loads in bits: computed edges plus first deliveries
+  /// of PE-homed inputs, as the bandwidth check records them.  Every
+  /// link for the scratch digest (the report policy walks them); null
+  /// for a kept one, which needs only the largest.
+  const std::uint64_t* link_bits = nullptr;
+  std::uint64_t max_link_bits = 0;
+  bool links_ready = false;
+  PlacementCost cost;
+  bool cost_ready = false;
+};
+
+namespace detail {
+void* page_allocate(std::size_t bytes);
+void page_deallocate(void* p, std::size_t bytes);
+}  // namespace detail
+
+/// Allocator for the digest store's arena: a block of 64 KiB or more is
+/// mapped from the OS and unmapped when freed, so a search's store
+/// leaves no resident high-water mark in the allocating thread's malloc
+/// arena; smaller blocks use operator new.  Only the pages a search
+/// writes become resident.
+template <typename T>
+struct PageAllocator {
+  using value_type = T;
+
+  PageAllocator() = default;
+  template <typename U>
+  explicit PageAllocator(const PageAllocator<U>&) {}
+
+  [[nodiscard]] T* allocate(std::size_t n) {
+    return static_cast<T*>(detail::page_allocate(n * sizeof(T)));
+  }
+  void deallocate(T* p, std::size_t n) {
+    detail::page_deallocate(p, n * sizeof(T));
+  }
+  [[nodiscard]] bool operator==(const PageAllocator&) const { return true; }
+};
+
+/// A search lane's store of placement digests (DESIGN.md §15), keyed by
+/// ReducedPlacement.  Lane-local and alive for one search; everything is
+/// reserved up front within kBudgetBytes, so keeping a digest never
+/// allocates.  A placement that no longer fits is not kept.
+class DigestStore {
+ public:
+  /// Per-lane byte budget: arrays, records and index together.
+  static constexpr std::size_t kBudgetBytes = std::size_t{256} << 10;
+
+  /// Sizes the store for `cs`: as many digests as the budget holds, and
+  /// no more than `max_placements`.
+  void reserve(const CompiledSpec& cs, std::uint64_t max_placements);
+
+  /// The kept digest of `key`, or null.
+  [[nodiscard]] PlacementDigest* find(const ReducedPlacement& key);
+
+  /// Copies `dg` in under dg.key and returns the kept copy, or null when
+  /// the store is full.
+  PlacementDigest* keep(const CompiledSpec& cs, const PlacementDigest& dg);
+
+  [[nodiscard]] std::size_t capacity() const { return capacity_; }
+
+ private:
+  struct Slot {
+    std::uint64_t hash = 0;
+    std::int32_t digest = -1;  ///< -1: empty
+  };
+
+  std::size_t capacity_ = 0;
+  std::vector<std::uint16_t, PageAllocator<std::uint16_t>>
+      halves_;  // pe, arrival
+  std::vector<PlacementDigest> digests_;
+  std::vector<Slot> index_;  // open addressing, power-of-two size
+};
 
 /// Per-lane mutable scratch.  All buffers are sized once and reused
 /// across candidates; the delivered table is epoch-stamped so "clear"
@@ -151,32 +303,37 @@ class EvalContext {
                    0) {}
 
   /// Pre-reserves every scratch buffer to its steady-state size for
-  /// `cs` so the first candidates of a search do not grow them inside
-  /// the hot loop (the passes size them on use: the per-point tables
-  /// and run_cycles to num_points, run_events to 2x, pe_run to one
-  /// more than the PE count, link_bits to 4 per PE).  Purely an
-  /// allocation accelerator — buffer *contents* are still established
-  /// per candidate exactly as before.
-  void reserve_scratch(const CompiledSpec& cs) {
-    const auto n = static_cast<std::size_t>(cs.num_points);
-    point_pe.reserve(n);
-    point_cycle.reserve(n);
-    last_use.reserve(n);
-    pe_run.reserve(cs.num_pes + 1);
-    run_cycles.reserve(n);
-    run_events.reserve(n * 2);
-    link_bits.reserve(cs.num_pes * 4);
-  }
+  /// `cs`, and the digest store for up to `max_placements` placements
+  /// (DigestStore::reserve), so no candidate of a search grows them
+  /// inside the hot loop.  Purely an allocation accelerator for the
+  /// scratch — buffer *contents* are still established per candidate;
+  /// without it the store keeps nothing.
+  void reserve_scratch(
+      const CompiledSpec& cs,
+      std::uint64_t max_placements = std::numeric_limits<std::uint64_t>::max());
 
   /// Lowers `map`'s placement onto the compiled grid: afterwards
   /// point_pe[lin] == cs.pe_index(map.place(p)) for every point.  An
   /// odometer over (i, j, k) fills the table with no division per
-  /// point.  Throws InvalidArgument for a map with no columns or rows,
-  /// and for any point placed at x >= cs.cols or y >= cs.rows (the
-  /// legacy oracles reject those too).
+  /// point.  Throws InvalidArgument for a map that does not fit the
+  /// compiled grid (CompiledSpec::require_fits).
   void place(const CompiledSpec& cs, const AffineMap& map);
+  /// The same over a placement already reduced (and checked to fit).
+  void place(const CompiledSpec& cs, const ReducedPlacement& rp);
 
-  /// Starts a fresh delivered-set scope (one oracle call = one scope,
+  /// The digest of the placement `key` (of a map that fits `cs`): the
+  /// store's copy when this context built it before, else built now
+  /// through place() and kept while the store has room.
+  PlacementDigest& digest(const CompiledSpec& cs, const ReducedPlacement& key);
+
+  /// place(cs, key) unless the PE table already holds that placement.
+  void ensure_placed(const CompiledSpec& cs, const ReducedPlacement& key);
+
+  /// Fills point_cycle with map.time of every point (an odometer, no
+  /// multiply per point) and returns it.
+  const Cycle* fill_times(const CompiledSpec& cs, const AffineMap& map);
+
+  /// Starts a fresh delivered-set scope (one sweep = one scope,
   /// mirroring the legacy per-call unordered_set).
   void begin_candidate() {
     if (++epoch_ == 0) {  // uint32 wrapped: wipe once, restart at 1
@@ -197,27 +354,39 @@ class EvalContext {
   // Reusable buffers (see compiled.cpp).
   /// PE of each linearized point, filled by place().
   std::vector<std::int32_t> point_pe;
-  /// Schedule cycle and last use of each point (legality pass).
+  /// Schedule cycle of each point (fill_times) and its last use (the
+  /// storage ledger).
   std::vector<Cycle> point_cycle;
   std::vector<Cycle> last_use;
   /// Counting sort by PE: PE q's run is [pe_run[q], pe_run[q + 1]) of
   /// run_cycles (exclusivity) and twice that of run_events (storage).
-  std::vector<std::size_t> pe_run;
+  std::vector<std::uint32_t> pe_run;
   std::vector<std::uint64_t> run_cycles;
   std::vector<std::uint64_t> run_events;
+  /// The scratch digest and its arrays.
+  PlacementDigest scratch;
+  std::vector<std::uint16_t> pe;
+  std::vector<std::uint16_t> arrival;
   std::vector<std::uint64_t> link_bits;
+  /// The quick gate's per-candidate residue products, and the sample
+  /// point that rejected the previous candidate (fm::run_gates).
+  std::vector<std::int64_t> gate_table;
+  std::size_t gate_start = 0;
+  DigestStore store;
 
  private:
   std::size_t num_pes_;
   std::vector<std::uint32_t> delivered_;
   std::uint32_t epoch_ = 0;
+  bool placed_ = false;  ///< point_pe holds placed_key_
+  ReducedPlacement placed_key_;
 };
 
 /// Arena of per-lane evaluation scratch: every lane's EvalContext (and
-/// its delivered table and verifier buffers) is allocated and
-/// pre-reserved up front, in one construction pass, so nothing in the
-/// search inner loop ever touches the allocator.  Lane L's context is
-/// reached by the explicit lane index the driver's kernel carries
+/// its delivered table, verifier buffers and digest store) is allocated
+/// and pre-reserved up front, in one construction pass, so nothing in
+/// the search inner loop ever touches the allocator.  Lane L's context
+/// is reached by the explicit lane index the driver's kernel carries
 /// (fm::search_lanes) — the pool is the replacement for the old
 /// "recover the lane from the tally's address" arithmetic, which broke
 /// silently if the tally storage moved.  Contexts are mutually
@@ -225,11 +394,13 @@ class EvalContext {
 /// not resized while lanes run.
 class EvalContextPool {
  public:
-  EvalContextPool(const CompiledSpec& cs, unsigned lanes) {
+  EvalContextPool(const CompiledSpec& cs, unsigned lanes,
+                  std::uint64_t max_placements =
+                      std::numeric_limits<std::uint64_t>::max()) {
     ctxs_.reserve(lanes);
     for (unsigned l = 0; l < lanes; ++l) {
       ctxs_.emplace_back(cs);
-      ctxs_.back().reserve_scratch(cs);
+      ctxs_.back().reserve_scratch(cs, max_placements);
     }
   }
 
@@ -241,6 +412,33 @@ class EvalContextPool {
  private:
   std::vector<EvalContext> ctxs_;
 };
+
+// --- the schedule pass over a digest ----------------------------------
+// For a caller that drives the two halves itself (fm::run_gates): `when`
+// holds every point's cycle and `makespan` is max(0, max when + 1).
+
+/// The input-arrival shift: max(0, max over points of arrival - when),
+/// the least t0 increase after which every input operand arrives in
+/// time.  Zero when the spec reads no input.
+[[nodiscard]] Cycle input_shift(const CompiledSpec& cs,
+                                const PlacementDigest& dg, const Cycle* when);
+
+/// verify(...).ok of the schedule `when` over the placement `dg` (from
+/// ctx.digest), stopped at the first violation; no report.  The storage
+/// ledger is skipped when num_points <= pe_capacity_values (no PE can
+/// then exceed it).  Throws like verify() for a schedule past 2^40
+/// cycles.
+[[nodiscard]] bool schedule_ok(const CompiledSpec& cs, PlacementDigest& dg,
+                               const Cycle* when, Cycle makespan,
+                               const VerifyOptions& opts, EvalContext& ctx);
+
+/// The CostReport: the digest's sums plus the closed-form makespan.
+[[nodiscard]] CostReport digest_cost(const CompiledSpec& cs,
+                                     PlacementDigest& dg, Cycle makespan,
+                                     EvalContext& ctx);
+
+// --- AffineMap oracles ------------------------------------------------
+// Each builds one scratch digest and runs one schedule pass.
 
 /// The compiled fast path of fm::evaluate_cost — bit-identical on every
 /// CostReport field to evaluate_cost(spec, mapping, machine) for the
@@ -255,28 +453,14 @@ class EvalContextPool {
                                     const AffineMap& map, EvalContext& ctx,
                                     const VerifyOptions& opts = {});
 
-/// verify(...).ok without the report: the same legality pass, stopped at
-/// the first violation of any enabled check, with no diagnostics.  That
-/// is what the search inner loop wants — rejected candidates are the
-/// common case there and their reports were discarded unread.  Honors
-/// opts.check_storage / check_bandwidth exactly as verify() does;
-/// always agrees with verify(...).ok on the same (cs, map, opts).
+/// verify(...).ok without the report: the same digest and schedule pass,
+/// stopped at the first violation of any enabled check, with no
+/// diagnostics.  Honors opts.check_storage / check_bandwidth exactly as
+/// verify() does; always agrees with verify(...).ok on the same
+/// (cs, map, opts).
 [[nodiscard]] bool verify_ok(const CompiledSpec& cs, const AffineMap& map,
                              EvalContext& ctx,
                              const VerifyOptions& opts = {});
-
-// The same AffineMap oracles over the PE table a preceding
-// ctx.place(cs, m) filled, for a caller that runs several passes over
-// one candidate (the search's gates, fm/search.hpp): `map` must place
-// every point where `m` did; its schedule may differ.  The overloads
-// above are these after their own ctx.place(cs, map).
-[[nodiscard]] CostReport evaluate_cost_placed(const CompiledSpec& cs,
-                                              const AffineMap& map,
-                                              EvalContext& ctx);
-
-[[nodiscard]] bool verify_ok_placed(const CompiledSpec& cs,
-                                    const AffineMap& map, EvalContext& ctx,
-                                    const VerifyOptions& opts = {});
 
 // --- TableMap (per-op) overloads --------------------------------------
 // The same oracles over a per-op placement table (strategy/table_map.hpp)

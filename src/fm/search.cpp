@@ -96,75 +96,138 @@ void merge_tallies(std::vector<SearchTally>& tallies, std::size_t top_k,
 
 }  // namespace
 
-QuickSample quick_sample_points(const IndexDomain& dom,
+QuickSample quick_sample_points(const CompiledSpec& cs,
                                 std::size_t quick_sample) {
   QuickSample s;
-  const std::int64_t n = dom.size();
+  s.cols = cs.cols;
+  s.rows = cs.rows;
+  const auto at = [&](const Point& p, std::int64_t lin) {
+    QuickSample::At a{p, static_cast<std::uint32_t>(lin)};
+    const std::int64_t c[3] = {p.i, p.j, p.k};
+    for (int d = 0; d < 3; ++d) {
+      a.rx[d] = static_cast<std::int32_t>(c[d] % cs.cols);
+      a.ry[d] = static_cast<std::int32_t>(c[d] % cs.rows);
+    }
+    return a;
+  };
+  const auto add = [&](std::int64_t lin) {
+    s.points.push_back(at(cs.domain.delinearize(lin), lin));
+    const auto v = static_cast<std::size_t>(lin);
+    for (std::uint64_t o = cs.dep_offsets[v]; o < cs.dep_offsets[v + 1]; ++o) {
+      const CompiledDep& d = cs.deps[o];
+      if (d.kind == CompiledDep::kComputed) {
+        s.deps.push_back(at(d.point(), d.dep_lin));
+      }
+    }
+    s.dep_begin.push_back(static_cast<std::uint32_t>(s.deps.size()));
+  };
+  s.dep_begin.push_back(0);
+  const std::int64_t n = cs.num_points;
   const std::int64_t stride =
       std::max<std::int64_t>(1, n / static_cast<std::int64_t>(quick_sample));
-  for (std::int64_t lin = 0; lin < n; lin += stride) {
-    s.points.push_back(dom.delinearize(lin));
-    s.lins.push_back(lin);
-  }
-  s.points.push_back(dom.delinearize(n - 1));
-  s.lins.push_back(n - 1);
+  for (std::int64_t lin = 0; lin < n; lin += stride) add(lin);
+  add(n - 1);
   return s;
 }
 
 GateResult run_gates(const CompiledSpec& cs, const QuickSample& sample,
                      const VerifyOptions& opts, AffineMap& map,
                      EvalContext& ctx) {
-  // Gate 1: sampled causality over the compiled dependence lists.
+  cs.require_fits(map);
+  // Gate 1: sampled causality over the compiled dependence lists.  An
+  // edge whose time gap is below 1 fails and one at least max_lag passes
+  // wherever its endpoints sit; only the others need PEs.  When this
+  // lane already keeps the placement's digest they are loads from it.
+  // Otherwise they come from the coefficients reduced once per
+  // candidate: per axis, a table of coefficient * residue mod the grid,
+  // so a point's coordinate is three lookups and a sum below 4x the
+  // grid, folded by two compares.
   const std::size_t P = cs.num_pes;
-  for (std::size_t idx = 0; idx < sample.points.size(); ++idx) {
-    const Point& p = sample.points[idx];
-    const Cycle when = map.time(p);
-    const auto lin = static_cast<std::size_t>(sample.lins[idx]);
-    for (std::uint64_t o = cs.dep_offsets[lin]; o < cs.dep_offsets[lin + 1];
-         ++o) {
-      const CompiledDep& d = cs.deps[o];
-      if (d.kind != CompiledDep::kComputed) continue;
-      const std::size_t here = cs.pe_index(map.place(p));
-      const Point dp = d.point();
-      const std::size_t there = cs.pe_index(map.place(dp));
-      const Cycle need =
-          map.time(dp) + std::max<Cycle>(1, cs.transit[there * P + here]);
-      if (when < need) return {Gate::kQuickRejected, {}};
+  const std::int64_t cols = map.cols;
+  const std::int64_t rows = map.rows;
+  const bool native = cols == sample.cols && rows == sample.rows;
+  ReducedPlacement rp;
+  bool reduced = false;
+  PlacementDigest* kept = nullptr;
+  const auto prepare = [&] {
+    rp = ReducedPlacement::of(map);
+    reduced = true;
+    kept = ctx.store.find(rp);
+    if (kept != nullptr) return;
+    ctx.gate_table.resize(static_cast<std::size_t>(3 * (cols + rows)));
+    std::int64_t* t = ctx.gate_table.data();
+    const auto fill = [&t](std::int64_t c, std::int64_t m) {
+      for (std::int64_t r = 0, v = 0; r < m; ++r) {
+        *t++ = v;
+        v += c;
+        if (v >= m) v -= m;
+      }
+    };
+    for (int d = 0; d < 3; ++d) fill(rp.x[d], cols);
+    for (int d = 0; d < 3; ++d) fill(rp.y[d], rows);
+  };
+  const auto pe_of = [&](const QuickSample::At& a) -> std::size_t {
+    if (kept != nullptr) return kept->pe[a.lin];
+    const std::int64_t* tx = ctx.gate_table.data();
+    const std::int64_t* ty = tx + 3 * cols;
+    const std::int64_t c[3] = {a.p.i, a.p.j, a.p.k};
+    std::int64_t x = rp.x[3], y = rp.y[3];
+    for (int d = 0; d < 3; ++d) {
+      // A narrower map than the compiled grid (never a search
+      // candidate) reduces its coordinates here.
+      x += tx[d * cols + (native ? a.rx[d] : c[d] % cols)];
+      y += ty[d * rows + (native ? a.ry[d] : c[d] % rows)];
+    }
+    if (x >= 2 * cols) x -= 2 * cols;
+    if (x >= cols) x -= cols;
+    if (y >= 2 * rows) y -= 2 * rows;
+    if (y >= rows) y -= rows;
+    return static_cast<std::size_t>(y * cs.cols + x);
+  };
+  // The gate is a conjunction, so the sample is walked from the point
+  // that rejected this lane's previous candidate: neighbouring slots
+  // tend to fail at the same point.
+  const std::size_t points = sample.points.size();
+  std::size_t s = ctx.gate_start < points ? ctx.gate_start : 0;
+  for (std::size_t left = points; left > 0;
+       --left, s = s + 1 < points ? s + 1 : 0) {
+    const QuickSample::At& at = sample.points[s];
+    const Cycle when = map.time(at.p);
+    std::size_t here = P;  // placed on first need
+    for (std::uint32_t e = sample.dep_begin[s]; e < sample.dep_begin[s + 1];
+         ++e) {
+      const QuickSample::At& dep = sample.deps[e];
+      const Cycle gap = when - map.time(dep.p);
+      if (gap >= cs.max_lag) continue;
+      if (gap >= 1) {
+        if (!reduced) prepare();
+        if (here == P) here = pe_of(at);
+        if (gap >= cs.transit[pe_of(dep) * P + here]) continue;
+      }
+      ctx.gate_start = s;
+      return {Gate::kQuickRejected, {}};
     }
   }
 
-  // One PE table for the rest: the shift below moves only the schedule.
-  ctx.place(cs, map);
-  if (cs.has_input_deps) {
-    Cycle deficit = 0;
-    std::size_t lin = 0;
-    cs.domain.for_each([&](const Point& p) {
-      const std::size_t v = lin++;
-      const std::uint64_t lo = cs.dep_offsets[v];
-      const std::uint64_t hi = cs.dep_offsets[v + 1];
-      if (lo == hi) return;
-      const Cycle when = map.time(p);
-      const auto here = static_cast<std::size_t>(ctx.point_pe[v]);
-      for (std::uint64_t o = lo; o < hi; ++o) {
-        const CompiledDep& d = cs.deps[o];
-        if (d.kind == CompiledDep::kComputed) continue;
-        const Cycle need =
-            d.kind == CompiledDep::kInputDram
-                ? cs.dram_cycles[here]
-                : cs.transit[static_cast<std::size_t>(d.home_pe) * P + here];
-        deficit = std::max(deficit, need - when);
-      }
-    });
-    map.t0 += deficit;
+  // One digest per placement and lane; the shift below moves only the
+  // schedule.
+  if (!reduced) rp = ReducedPlacement::of(map);
+  PlacementDigest& dg = kept != nullptr ? *kept : ctx.digest(cs, rp);
+  const Cycle* when = ctx.fill_times(cs, map);
+  const Cycle shift = input_shift(cs, dg, when);
+  if (shift != 0) {
+    map.t0 += shift;
+    for (Cycle& t : ctx.point_cycle) t += shift;
   }
+  const Cycle makespan = cs.makespan_cycles_of(map);
 
   // Gate 2: full legality, stopped at the first violation — rejection is
   // the common case and the search never reads a rejected report.
-  if (!verify_ok_placed(cs, map, ctx, opts)) {
+  if (!schedule_ok(cs, dg, when, makespan, opts, ctx)) {
     return {Gate::kVerifyRejected, {}};
   }
   // Gate 3: cost.
-  return {Gate::kLegal, evaluate_cost_placed(cs, map, ctx)};
+  return {Gate::kLegal, digest_cost(cs, dg, makespan, ctx)};
 }
 
 std::vector<analyze::Diagnostic> validate_search_options(
@@ -209,7 +272,7 @@ SearchResult search_affine(const FunctionSpec& spec,
   std::shared_ptr<const CompiledSpec> cs = opts.compiled;
   if (cs == nullptr) cs = compile_spec(spec, machine, input_proto);
 
-  const QuickSample sample = quick_sample_points(dom, opts.quick_sample);
+  const QuickSample sample = quick_sample_points(*cs, opts.quick_sample);
 
   const double serial_size = static_cast<double>(dom.size());
   const double makespan_bound = serial_size * opts.makespan_slack + 1.0;
@@ -235,7 +298,7 @@ SearchResult search_affine(const FunctionSpec& spec,
     // same tight loop the lanes run.
     std::vector<SearchTally> tally(1);
     EvalContext ctx(*cs);
-    ctx.reserve_scratch(*cs);
+    ctx.reserve_scratch(*cs, plan.space_size);
     AffineSoA soa;
     for (std::uint64_t base = begin; base < total; base += kDecodeBatch) {
       const auto n = static_cast<std::size_t>(
@@ -278,7 +341,7 @@ SearchResult search_affine(const FunctionSpec& spec,
   // Per-lane evaluation scratch, allocated and reserved before any lane
   // runs: EvalContexts in an arena-style pool, decode buffers beside
   // them.  The kernel's explicit lane index selects a lane's pair.
-  EvalContextPool ctx_pool(*cs, lanes);
+  EvalContextPool ctx_pool(*cs, lanes, plan.space_size);
   std::vector<AffineSoA> decode_bufs(lanes);
   std::vector<std::uint8_t> processed(num_grains, 0);
   sched::RealCtx ctx;

@@ -201,14 +201,25 @@ inline void tally_insert(SearchTally& tally, const Candidate& c,
 }
 
 /// The quick causality gate's sample: every stride-th point of the
-/// domain, for about `quick_sample` points, plus the last point, each
-/// with its row-major linear index.
+/// domain, for about `quick_sample` points, plus the last point, and the
+/// computed dependences of each.  Every point carries its coordinates'
+/// residues on the compiled grid, so the gate places it with table
+/// lookups and adds — no division per point.
 struct QuickSample {
-  std::vector<Point> points;
-  std::vector<std::int64_t> lins;
+  struct At {
+    Point p;
+    std::uint32_t lin = 0;    ///< p's linearized index
+    std::int32_t rx[3] = {};  ///< p.i, p.j, p.k mod the compiled cols
+    std::int32_t ry[3] = {};  ///< p.i, p.j, p.k mod the compiled rows
+  };
+  std::vector<At> points;
+  /// Sample point s's dependences are deps[dep_begin[s] .. dep_begin[s + 1]).
+  std::vector<std::uint32_t> dep_begin;
+  std::vector<At> deps;
+  int cols = 1, rows = 1;  ///< the grid of the residues
 };
 
-[[nodiscard]] QuickSample quick_sample_points(const IndexDomain& dom,
+[[nodiscard]] QuickSample quick_sample_points(const CompiledSpec& cs,
                                               std::size_t quick_sample);
 
 /// The gate a candidate stopped at, or kLegal when it passed all three.
@@ -224,11 +235,14 @@ struct GateResult {
 ///   2. the input-arrival shift — computed-dependence legality is
 ///      shift-invariant, input arrival is not, so map.t0 grows until
 ///      every element starts no earlier than its input operands can
-///      reach it — then verify_ok under `opts`;
-///   3. evaluate_cost.
-/// A candidate that passes gate 1 is lowered once (EvalContext::place):
-/// the shift, the legality pass and the cost pass all read that one PE
-/// table.  `map` comes back shifted.  search_affine runs this per slot.
+///      reach it — then the first-violation legality pass under `opts`;
+///   3. the cost.
+/// Past gate 1 the candidate's placement digest comes from ctx's store
+/// when an earlier candidate of this context had the same placement
+/// (EvalContext::digest), so the shift, legality and cost cost only a
+/// schedule pass.  `map` comes back shifted.  Throws InvalidArgument for
+/// a map that does not fit the compiled grid.  search_affine runs this
+/// per slot.
 [[nodiscard]] GateResult run_gates(const CompiledSpec& cs,
                                    const QuickSample& sample,
                                    const VerifyOptions& opts, AffineMap& map,

@@ -2,10 +2,13 @@
 // the flat fast path against the legacy FunctionSpec oracles and the
 // executing GridMachine ledger, a randomized parity sweep over specs,
 // machines, affine and table maps, off-grid placements, the
-// delivered-set key-packing overflow regression, EvalContext reuse, and
-// precompiled parallel search parity.
+// delivered-set key-packing overflow regression, EvalContext reuse,
+// precompiled parallel search parity, and search-level parity of the
+// three gates (with the digest store kept and overflowed) against the
+// legacy gates slot by slot.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <iostream>
 #include <map>
@@ -20,10 +23,12 @@
 #include "algos/matmul.hpp"
 #include "algos/specs.hpp"
 #include "fm/compiled.hpp"
+#include "fm/enum_plan.hpp"
 #include "fm/idioms.hpp"
 #include "fm/search.hpp"
 #include "fm/strategy/table_map.hpp"
 #include "sched/scheduler.hpp"
+#include "support/error.hpp"
 #include "support/rng.hpp"
 
 namespace harmony::fm {
@@ -612,6 +617,279 @@ TEST(CompiledSearch, PrecompiledSharedAcrossParallelLanesMatchesSerial) {
   for (std::size_t i = 0; i < serial.all_legal.size(); ++i) {
     EXPECT_EQ(parallel.all_legal[i].slot, serial.all_legal[i].slot);
     EXPECT_EQ(parallel.all_legal[i].merit, serial.all_legal[i].merit);
+  }
+}
+
+/// Field-for-field AffineMap equality.
+void expect_map_identical(const AffineMap& a, const AffineMap& b) {
+  EXPECT_EQ(a.ti, b.ti);
+  EXPECT_EQ(a.tj, b.tj);
+  EXPECT_EQ(a.tk, b.tk);
+  EXPECT_EQ(a.t0, b.t0);
+  EXPECT_EQ(a.xi, b.xi);
+  EXPECT_EQ(a.xj, b.xj);
+  EXPECT_EQ(a.xk, b.xk);
+  EXPECT_EQ(a.x0, b.x0);
+  EXPECT_EQ(a.yi, b.yi);
+  EXPECT_EQ(a.yj, b.yj);
+  EXPECT_EQ(a.yk, b.yk);
+  EXPECT_EQ(a.y0, b.y0);
+  EXPECT_EQ(a.cols, b.cols);
+  EXPECT_EQ(a.rows, b.rows);
+}
+
+/// The quick gate's sample as the search draws it: every stride-th
+/// point of the domain, for about `quick_sample` points, plus the last.
+std::vector<Point> legacy_sample(const IndexDomain& dom,
+                                 std::size_t quick_sample) {
+  std::vector<Point> pts;
+  const std::int64_t n = dom.size();
+  const std::int64_t stride =
+      std::max<std::int64_t>(1, n / static_cast<std::int64_t>(quick_sample));
+  for (std::int64_t lin = 0; lin < n; lin += stride) {
+    pts.push_back(dom.delinearize(lin));
+  }
+  pts.push_back(dom.delinearize(n - 1));
+  return pts;
+}
+
+/// One candidate through the search's three gates on the FunctionSpec
+/// oracles, as E22.a's legacy pass runs them: sampled causality through
+/// AffineMap::place, the input-arrival shift through the machine's
+/// timing rules, then fm::verify and fm::evaluate_cost.
+struct LegacyGates {
+  Gate gate = Gate::kQuickRejected;
+  AffineMap map;
+  CostReport cost;
+};
+
+LegacyGates legacy_gates(const FunctionSpec& spec, const MachineConfig& cfg,
+                         const Mapping& proto,
+                         const std::vector<Point>& sample,
+                         const VerifyOptions& vopts, AffineMap map) {
+  const TensorId target = spec.computed_tensors()[0];
+  for (const Point& p : sample) {
+    const Cycle when = map.time(p);
+    for (const ValueRef& d : spec.deps(target, p)) {
+      if (spec.is_input(d.tensor)) continue;
+      const Cycle need =
+          map.time(d.point) +
+          std::max<Cycle>(1, cfg.transit_cycles(map.place(d.point),
+                                                map.place(p)));
+      if (when < need) return {Gate::kQuickRejected, map, {}};
+    }
+  }
+  Cycle deficit = 0;
+  spec.domain(target).for_each([&](const Point& p) {
+    const Cycle when = map.time(p);
+    const noc::Coord here = map.place(p);
+    for (const ValueRef& d : spec.deps(target, p)) {
+      if (!spec.is_input(d.tensor)) continue;
+      const InputHome& home = proto.input_home(d.tensor);
+      const Cycle need = home.kind == InputHome::Kind::kDram
+                             ? cfg.dram_cycles(here)
+                             : cfg.transit_cycles(home.home_of(d.point), here);
+      deficit = std::max(deficit, need - when);
+    }
+  });
+  map.t0 += deficit;
+  const Mapping m = materialize(spec, target, map, proto);
+  if (!verify(spec, m, cfg, vopts).ok) return {Gate::kVerifyRejected, map, {}};
+  return {Gate::kLegal, map, evaluate_cost(spec, m, cfg)};
+}
+
+/// search_affine with keep_all_legal, serially and on `pool`'s lanes,
+/// against the legacy gates run on every slot of the same enumeration:
+/// the gate counts, the legal slots, their shifted maps and their costs
+/// must all be identical.  Returns how many distinct placements (space
+/// coefficients reduced modulo the grid) passed the quick gate.
+std::size_t expect_search_matches_legacy(const FunctionSpec& spec,
+                                         const MachineConfig& cfg,
+                                         const Mapping& proto,
+                                         const SearchOptions& base,
+                                         sched::Scheduler& pool) {
+  const IndexDomain& dom = spec.domain(spec.computed_tensors()[0]);
+  const EnumPlan plan = build_enum_plan(
+      dom, cfg, base.space,
+      static_cast<double>(dom.size()) * base.makespan_slack + 1.0);
+  const std::vector<Point> sample = legacy_sample(dom, base.quick_sample);
+  std::uint64_t quick = 0, rejected = 0;
+  std::vector<std::pair<std::uint64_t, LegacyGates>> legal;
+  std::vector<std::vector<std::int64_t>> placements;
+  AffineSoA soa;
+  for (std::uint64_t lo = 0; lo < plan.total; lo += 256) {
+    const auto n =
+        static_cast<std::size_t>(std::min<std::uint64_t>(256, plan.total - lo));
+    decode_slots(plan, lo, n, soa);
+    for (std::size_t r = 0; r < n; ++r) {
+      const AffineMap map = soa.map_at(r, cfg.geom.cols(), cfg.geom.rows());
+      const LegacyGates g =
+          legacy_gates(spec, cfg, proto, sample, base.verify, map);
+      if (g.gate == Gate::kQuickRejected) {
+        ++quick;
+        continue;
+      }
+      const auto mod = [](std::int64_t v, std::int64_t m) {
+        return ((v % m) + m) % m;
+      };
+      const std::vector<std::int64_t> placement = {
+          mod(map.xi, map.cols), mod(map.xj, map.cols),
+          mod(map.xk, map.cols), mod(map.x0, map.cols),
+          mod(map.yi, map.rows), mod(map.yj, map.rows),
+          mod(map.yk, map.rows), mod(map.y0, map.rows)};
+      if (std::find(placements.begin(), placements.end(), placement) ==
+          placements.end()) {
+        placements.push_back(placement);
+      }
+      if (g.gate == Gate::kVerifyRejected) {
+        ++rejected;
+      } else {
+        legal.emplace_back(lo + r, g);
+      }
+    }
+  }
+  for (sched::Scheduler* lanes : {static_cast<sched::Scheduler*>(nullptr),
+                                  &pool}) {
+    SCOPED_TRACE(lanes == nullptr ? "serial" : "4 lanes");
+    SearchOptions opts = base;
+    opts.keep_all_legal = true;
+    opts.scheduler = lanes;
+    const SearchResult r = search_affine(spec, cfg, proto, opts);
+    EXPECT_EQ(r.enumerated, plan.total);
+    EXPECT_EQ(r.quick_rejected, quick);
+    EXPECT_EQ(r.verify_rejected, rejected);
+    EXPECT_EQ(r.legal, legal.size());
+    EXPECT_TRUE(r.exhausted);
+    EXPECT_EQ(r.all_legal.size(), legal.size());
+    if (r.all_legal.size() != legal.size()) continue;
+    for (std::size_t i = 0; i < legal.size(); ++i) {
+      SCOPED_TRACE("slot " + std::to_string(legal[i].first));
+      EXPECT_EQ(r.all_legal[i].slot, legal[i].first);
+      expect_map_identical(r.all_legal[i].map, legal[i].second.map);
+      expect_cost_identical(r.all_legal[i].cost, legal[i].second.cost);
+    }
+  }
+  return placements.size();
+}
+
+TEST(CompiledSearch, GateCountsAndLegalSlotsMatchLegacyGates) {
+  // Every spec shape, on row, square and rectangular grids plus a tight
+  // machine (2 live values per PE, 4 bits per link-cycle) where the
+  // storage ledger and the bandwidth check reject candidates, with
+  // inputs in DRAM, on one PE, and block-distributed.
+  algos::SwScores sw;
+  const std::vector<std::pair<std::string, FunctionSpec>> specs = {
+      {"editdist:5x5", algos::editdist_spec(5, 5, sw)},
+      {"stencil:6,3", algos::stencil1d_spec(6, 3)},
+      {"conv:5,3", algos::conv1d_spec(5, 3)},
+      {"matmul:2", algos::matmul_spec(2)},
+      {"four-branch", four_branch_spec(true).spec},
+      {"four-branch-nonoutput", four_branch_spec(false).spec}};
+  std::vector<std::pair<std::string, MachineConfig>> machines = {
+      {"1x5", make_machine(1, 5)},
+      {"2x2", make_machine(2, 2)},
+      {"3x4", make_machine(3, 4)},
+      {"tight 3x4", make_machine(3, 4)}};
+  machines.back().second.pe_capacity_values = 2;
+  machines.back().second.link_bits_per_cycle = 4.0;
+  sched::Scheduler pool(4);
+  std::uint64_t tight_rejects = 0;
+  for (const auto& [spec_name, spec] : specs) {
+    for (const auto& [machine_name, cfg] : machines) {
+      for (const char* homes : {"dram", "pe", "block"}) {
+        SCOPED_TRACE(spec_name + " on " + machine_name + ", " + homes +
+                     " inputs");
+        Mapping proto;
+        for (TensorId in : spec.input_tensors()) {
+          const std::string h = homes;
+          proto.set_input(
+              in, h == "dram" ? InputHome::dram()
+                  : h == "pe"
+                      ? InputHome::at(cfg.geom.coord(cfg.geom.num_nodes() - 1))
+                      : InputHome::distributed(
+                            block_distribution(spec.domain(in), cfg.geom)
+                                .place));
+        }
+        SearchOptions opts;
+        opts.num_workers = 4;
+        expect_search_matches_legacy(spec, cfg, proto, opts, pool);
+        if (machine_name.rfind("tight", 0) == 0) {
+          // The tight machine must reject through storage or bandwidth,
+          // not only causality and exclusivity.
+          VerifyOptions loose;
+          loose.check_storage = false;
+          loose.check_bandwidth = false;
+          SearchOptions relaxed = opts;
+          relaxed.verify = loose;
+          const SearchResult strict = search_affine(spec, cfg, proto, opts);
+          const SearchResult lax = search_affine(spec, cfg, proto, relaxed);
+          tight_rejects += lax.legal - strict.legal;
+        }
+      }
+    }
+  }
+  EXPECT_GT(tight_rejects, 0u);
+}
+
+TEST(CompiledSearch, OverflowedDigestStoreMatchesLegacyGates) {
+  // A 64x64 edit distance on 4x2 has digests of about 16 KiB, so a
+  // lane's store keeps 15 of the 23 placements that pass the quick gate:
+  // the rest run through the scratch digest on every candidate.
+  algos::SwScores sw;
+  const FunctionSpec spec = algos::editdist_spec(64, 64, sw);
+  const MachineConfig cfg = make_machine(4, 2);
+  const Mapping proto = input_homes(spec, cfg, /*dram=*/false);
+  SearchOptions opts;
+  opts.space.time_coeffs = {0, 1, 2, 3};
+  opts.num_workers = 4;
+  sched::Scheduler pool(4);
+  const std::size_t placements =
+      expect_search_matches_legacy(spec, cfg, proto, opts, pool);
+
+  const auto cs = compile_spec(spec, cfg, proto);
+  EvalContext ctx(*cs);
+  ctx.reserve_scratch(*cs);
+  EXPECT_GT(ctx.store.capacity(), 0u);
+  EXPECT_LT(ctx.store.capacity(), placements);
+  std::cout << "digest store: " << ctx.store.capacity() << " of "
+            << placements << " placements\n";
+}
+
+TEST(CompiledSearch, RunGatesRejectsMapsOffTheCompiledGrid) {
+  // The gates index the compiled P x P tables with the map's PEs: a map
+  // wider or taller than the compiled grid places points the machine
+  // does not have, and one with no columns divides by zero.  Both must
+  // be rejected before the quick gate, as verify and evaluate_cost
+  // reject them; a narrower map is evaluable and agrees with the legacy
+  // gates.
+  algos::SwScores s;
+  const FunctionSpec spec = algos::editdist_spec(6, 6, s);
+  const MachineConfig cfg = make_machine(4, 1);
+  const Mapping proto = input_homes(spec, cfg, /*dram=*/false);
+  const auto cs = compile_spec(spec, cfg, proto);
+  const QuickSample sample = quick_sample_points(*cs, 64);
+  EvalContext ctx(*cs);
+  ctx.reserve_scratch(*cs);
+  for (const auto& [cols, rows] : std::vector<std::pair<int, int>>{
+           {8, 1}, {0, 1}, {4, 2}, {4, 0}, {-1, 1}}) {
+    AffineMap map{.ti = 1, .tj = 1, .xi = 1, .cols = cols, .rows = rows};
+    EXPECT_THROW((void)run_gates(*cs, sample, {}, map, ctx), InvalidArgument)
+        << cols << "x" << rows;
+  }
+  for (const std::int64_t tj : {1, 2, 3}) {
+    for (const std::int64_t xi : {0, 1, 2, -1}) {
+      SCOPED_TRACE("tj " + std::to_string(tj) + " xi " + std::to_string(xi));
+      AffineMap narrow{.ti = 2, .tj = tj, .xi = xi, .cols = 3, .rows = 1};
+      const LegacyGates legacy =
+          legacy_gates(spec, cfg, proto,
+                       legacy_sample(spec.domain(cs->target), 64), {}, narrow);
+      const GateResult g = run_gates(*cs, sample, {}, narrow, ctx);
+      EXPECT_EQ(g.gate, legacy.gate);
+      if (g.gate != Gate::kQuickRejected) {
+        expect_map_identical(narrow, legacy.map);
+      }
+      if (g.gate == Gate::kLegal) expect_cost_identical(g.cost, legacy.cost);
+    }
   }
 }
 

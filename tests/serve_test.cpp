@@ -502,19 +502,24 @@ TEST(Service, DeadlineCutTuneReturnsLegalMappingBeforeDeadline) {
   cfg.deadline_margin = 90ms * kTimeScale;
   Service svc(cfg);
 
-  // A big search space (13 x 13 x 9 x 9 slots, each paying a
-  // full-domain legality sweep) over a 64x64 domain: far more work than
+  // A big search space (13 x 13 x 15 x 15 slots, each paying a
+  // full-domain schedule pass) over a 64x64 domain: far more work than
   // the deadline allows even through the compiled fast path, so the cut
-  // must trigger.  With both strings homed on PE (0,0) the pure
-  // wavefront (t=i+j) blows the home link's bandwidth budget; the
+  // must trigger.  A 64x64 placement digest is too big for more than a
+  // few to stay in a lane's digest store, so each of the 225 placements
+  // is mostly rebuilt per candidate; with the 81 placements of
+  // {-4..4} the two lanes finished in about 90 ms under Release, too
+  // close to the 60 ms cut.  With both strings homed on PE (0,0) the
+  // pure wavefront (t=i+j) blows the home link's bandwidth budget; the
   // time-stretched t=i+8j fits, and coefficient 8 rides second in the
-  // list so that legal mapping enumerates within the first few slots
-  // and the frontier is non-empty long before the cutoff -- even under
-  // a sanitizer's ~10x slowdown.
+  // list so that legal mapping enumerates within the first few hundred
+  // slots and the frontier is non-empty long before the cutoff -- even
+  // under a sanitizer's ~10x slowdown.
   Request req = editdist_cost_request(64, 64);
   req.kind = RequestKind::kTune;
   req.search.space.time_coeffs = {1, 8, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 0};
-  req.search.space.space_coeffs = {1, 0, -1, 2, -2, 3, -3, 4, -4};
+  req.search.space.space_coeffs = {1,  0, -1, 2,  -2, 3,  -3, 4,
+                                   -4, 5, -5, 6, -6, 7, -7};
   req.deadline = 150ms * kTimeScale;
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -775,7 +780,13 @@ TEST(Service, CheapMissIsAnsweredWhileATuneHoldsAWorker) {
   w.kind = RequestKind::kTune;
   w.spec = "matmul:6";
   w.machine_cols = w.machine_rows = 7;
-  w.tune_workers = 1;  // one lane: about 56 ms serially
+  // Six time coefficients per axis instead of three: 157k slots, so the
+  // one-lane tune still takes tens of milliseconds now that each
+  // placement's digest is built once per lane (the default 19683-slot
+  // space took about 7 ms, which a loaded host could finish before the
+  // cost eval below was answered).
+  w.time_coeffs = {0, 1, 2, 3, 4, 5};
+  w.tune_workers = 1;  // one lane
   std::future<Response> slow = svc.submit(to_request(w, catalog));
   // Wait until a worker has started the tune, then a little longer so
   // the cost eval arrives well after it.
