@@ -10,6 +10,12 @@
 // schedules (the DP wavefront t = i + j; the stencil's time-major scan;
 // a k-serial projection for matmul) and beats serial by ~N on time
 // while never losing on the chosen merit.
+//
+// The binary checks its own winners and exits non-zero (CI's perf label
+// runs it as bench_e8_smoke) unless every winner, materialized as a full
+// Mapping, re-verifies legal and re-costs to the same cycles and energy
+// through the FunctionSpec oracles (fm::verify, fm::evaluate_cost), and
+// the edit distance's time winner is the wavefront t = i + j.
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -20,6 +26,7 @@
 #include "fm/cost.hpp"
 #include "fm/default_mapper.hpp"
 #include "fm/idioms.hpp"
+#include "fm/legality.hpp"
 #include "fm/search.hpp"
 #include "support/table.hpp"
 
@@ -74,6 +81,8 @@ int main(int argc, char** argv) {
     int rows;
   };
   std::vector<Kernel> kernels;
+  // Every failed winner check, printed to stderr at the end.
+  std::vector<std::string> failures;
   {
     algos::SwScores s;
     kernels.push_back(
@@ -107,13 +116,40 @@ int main(int argc, char** argv) {
       opts.space.space_coeffs = {-1, 0, 1};
       const fm::SearchResult res =
           search_affine(k.spec, cfg, proto, opts);
+      const std::string what = k.name + " on " + fom_name(fom);
       if (!res.found) {
+        failures.push_back(what + ": no legal mapping found");
         t.add_row({k.name, std::string(fom_name(fom)),
                    std::string("NONE FOUND"),
                    static_cast<std::int64_t>(res.enumerated),
                    static_cast<std::int64_t>(res.legal), std::int64_t{0},
                    0.0, 0.0, 0.0});
         continue;
+      }
+      // The winner, materialized, through the FunctionSpec oracles.
+      const fm::AffineMap& best = res.best.map;
+      fm::Mapping winner;
+      winner.set_computed(k.spec.computed_tensors()[0], best.place_fn(),
+                          best.time_fn());
+      for (fm::TensorId in : k.spec.input_tensors()) {
+        winner.set_input(in, proto.input_home(in));
+      }
+      if (!fm::verify(k.spec, winner, cfg).ok) {
+        failures.push_back(what + ": the winner does not re-verify legal");
+      }
+      const fm::CostReport recost = fm::evaluate_cost(k.spec, winner, cfg);
+      if (recost.makespan_cycles != res.best.cost.makespan_cycles ||
+          recost.total_energy().femtojoules() !=
+              res.best.cost.total_energy().femtojoules()) {
+        failures.push_back(what +
+                           ": the winner re-costs to different cycles or "
+                           "energy");
+      }
+      if (k.name.rfind("editdist", 0) == 0 &&
+          fom == fm::FigureOfMerit::kTime &&
+          !(best.ti == 1 && best.tj == 1 && best.tk == 0)) {
+        failures.push_back(what + ": the winner is " + coeffs(best) +
+                           ", not the wavefront t = i + j");
       }
       t.add_row({k.name, std::string(fom_name(fom)), coeffs(res.best.map),
                  static_cast<std::int64_t>(res.enumerated),
@@ -174,5 +210,6 @@ int main(int argc, char** argv) {
                  "serial by ~N and at least match the default mapper on "
                  "their own merit.\n";
   }
-  return 0;
+  for (const std::string& f : failures) std::cerr << "ERROR: " << f << '\n';
+  return failures.empty() ? 0 : 1;
 }

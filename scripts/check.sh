@@ -26,10 +26,13 @@
 #      wakeup, roots, coalescing, cache, concurrent trace-ring writes, router
 #      coalescing/stealing/drain against live worker threads) plus the
 #      stress test under ThreadSanitizer;
-#   5. perf    — smoke runs of the compiled-evaluation, stochastic-
-#      search and pipeline-tuning benchmarks (bench_e22 + bench_e23 +
-#      bench_e24) and the shard-scaling gtest (ctest -L perf): fails if
-#      the fast path's reports diverge from the legacy oracles, a
+#   5. perf    — smoke runs of the mapping-search, compiled-evaluation,
+#      stochastic-search and pipeline-tuning benchmarks (bench_e8 +
+#      bench_e22 + bench_e23 + bench_e24) and the shard-scaling gtest
+#      (ctest -L perf): fails if a search winner does not re-verify and
+#      re-cost identically through the FunctionSpec oracles or the edit
+#      distance's time winner is not the wavefront, the fast path's
+#      reports diverge from the legacy oracles, a
 #      parallel search diverges from serial, the anneal misses the
 #      affine optimum, the median delta-eval speedup drops below its
 #      contract, the co-optimizing pipeline tuner loses to the greedy
@@ -114,11 +117,12 @@ run_perf() {
   # floor: modeled >= 2x at 8 workers always (deterministic work-span
   # replay of the grain schedule, DESIGN.md §15), measured >= 2x only
   # when the host has >= 8 hardware threads.
-  echo "== perf: compiled-eval + stochastic-search + pipeline bench" \
-       "smoke + shard scaling ==" &&
+  echo "== perf: mapping-search + compiled-eval + stochastic-search +" \
+       "pipeline bench smoke + shard scaling ==" &&
   cmake -B build -S . &&
-  cmake --build build -j "$(nproc)" --target bench_e22_cost_eval \
-    bench_e23_anneal bench_e24_pipeline shard_scaling_test &&
+  cmake --build build -j "$(nproc)" --target bench_e8_mapping_search \
+    bench_e22_cost_eval bench_e23_anneal bench_e24_pipeline \
+    shard_scaling_test &&
   ctest --test-dir build --output-on-failure -L perf &&
   # perfbench (BENCHMARK.json's command) builds its own Release tree in
   # .bench_build and exits non-zero on any wrong reply, so a short run of
