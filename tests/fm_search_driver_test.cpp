@@ -1,6 +1,6 @@
 // The parallel search driver's moving parts, unit-tested in isolation:
 // auto-grain sizing (every lane gets work), the static partition helper,
-// the batch slot decoder against its per-slot seed, the search_lanes
+// the stepping slot cursor against its per-slot seed, the search_lanes
 // coverage/lane-index contract on a real scheduler, and the pooled
 // EvalContext's parity with a fresh one.  The end-to-end serial/parallel
 // byte-parity lives in fm_search_parallel_test.cpp; these tests pin the
@@ -87,25 +87,25 @@ TEST(StaticPartition, ContiguousBalancedCover) {
   EXPECT_EQ(none.hi, 0u);
 }
 
-void expect_rows_equal(const AffineSoA& a, std::size_t ra, const AffineSoA& b,
-                       std::size_t rb) {
-  EXPECT_EQ(a.ti[ra], b.ti[rb]);
-  EXPECT_EQ(a.tj[ra], b.tj[rb]);
-  EXPECT_EQ(a.tk[ra], b.tk[rb]);
-  EXPECT_EQ(a.t0[ra], b.t0[rb]);
-  EXPECT_EQ(a.xi[ra], b.xi[rb]);
-  EXPECT_EQ(a.xj[ra], b.xj[rb]);
-  EXPECT_EQ(a.xk[ra], b.xk[rb]);
-  EXPECT_EQ(a.yi[ra], b.yi[rb]);
-  EXPECT_EQ(a.yj[ra], b.yj[rb]);
-  EXPECT_EQ(a.yk[ra], b.yk[rb]);
+void expect_maps_equal(const AffineMap& a, const AffineMap& b) {
+  EXPECT_EQ(a.ti, b.ti);
+  EXPECT_EQ(a.tj, b.tj);
+  EXPECT_EQ(a.tk, b.tk);
+  EXPECT_EQ(a.t0, b.t0);
+  EXPECT_EQ(a.xi, b.xi);
+  EXPECT_EQ(a.xj, b.xj);
+  EXPECT_EQ(a.xk, b.xk);
+  EXPECT_EQ(a.yi, b.yi);
+  EXPECT_EQ(a.yj, b.yj);
+  EXPECT_EQ(a.yk, b.yk);
 }
 
-TEST(DecodeSlots, OdometerMatchesPerSlotSeedOnEverySlot) {
-  // The batch decoder seeds one div/mod chain and then increments a
-  // mixed-radix odometer; a count-1 decode is pure seed.  The two paths
-  // must agree on every coefficient of every slot — this is the pin
-  // that makes "batch-decoded" invisible to the enumeration order.
+TEST(SlotCursor, StepsMatchPerSlotSeedOnEverySlot) {
+  // The cursor seeds one div/mod chain and then increments a mixed-radix
+  // odometer; a cursor seeded at the slot itself is pure seed.  The two
+  // paths must agree on every coefficient, block and space index of
+  // every slot — this is the pin that makes "stepped" invisible to the
+  // enumeration order.
   struct Case {
     std::string name;
     FunctionSpec spec;
@@ -124,27 +124,26 @@ TEST(DecodeSlots, OdometerMatchesPerSlotSeedOnEverySlot) {
         build_enum_plan(dom, c.cfg, SearchSpace{}, /*makespan_bound=*/1e18);
     ASSERT_GT(plan.total, 0u);
 
-    AffineSoA batch;
-    decode_slots(plan, 0, static_cast<std::size_t>(plan.total), batch);
-    ASSERT_EQ(batch.size(), plan.total);
-
-    AffineSoA single;
-    for (std::uint64_t slot = 0; slot < plan.total; ++slot) {
-      decode_slots(plan, slot, 1, single);
+    SlotCursor stepped(plan, 0);
+    for (std::uint64_t slot = 0; slot < plan.total;
+         ++slot, stepped.next()) {
       SCOPED_TRACE("slot " + std::to_string(slot));
-      expect_rows_equal(batch, static_cast<std::size_t>(slot), single, 0);
+      const SlotCursor seeded(plan, slot);
+      EXPECT_EQ(stepped.block, slot / plan.space_size);
+      EXPECT_EQ(stepped.space, slot % plan.space_size);
+      EXPECT_EQ(seeded.block, stepped.block);
+      EXPECT_EQ(seeded.space, stepped.space);
+      expect_maps_equal(stepped.map(1, 1), seeded.map(1, 1));
     }
 
-    // A ragged mid-range batch (crossing time-block boundaries from a
-    // nonzero digit state) agrees with the full decode row for row.
+    // A ragged mid-range run (crossing time-block boundaries from a
+    // nonzero digit state) agrees with the cursor seeded at each slot.
     const std::uint64_t lo = plan.total / 3 + 1;
-    const auto n = static_cast<std::size_t>(
-        std::min<std::uint64_t>(plan.total - lo, 50));
-    AffineSoA mid;
-    decode_slots(plan, lo, n, mid);
-    for (std::size_t r = 0; r < n; ++r) {
-      SCOPED_TRACE("mid row " + std::to_string(r));
-      expect_rows_equal(mid, r, batch, static_cast<std::size_t>(lo) + r);
+    const std::uint64_t hi = std::min<std::uint64_t>(plan.total, lo + 50);
+    SlotCursor mid(plan, lo);
+    for (std::uint64_t slot = lo; slot < hi; ++slot, mid.next()) {
+      SCOPED_TRACE("mid slot " + std::to_string(slot));
+      expect_maps_equal(mid.map(1, 1), SlotCursor(plan, slot).map(1, 1));
     }
   }
 }

@@ -327,6 +327,45 @@ TEST(ParallelSearch, SingleSlotGrainCancelLatencyIsBounded) {
   EXPECT_LE(r.next_offset, 4u);
 }
 
+TEST(ParallelSearch, CutSearchScoresOneSlotPerPollFromTheFirst) {
+  // A search cut by `cancel` answers with what it scored before the cut
+  // (a serving deadline relies on it), so no poll may go by before the
+  // first slot runs: the serial backend scores one slot per poll that
+  // returns false, the parallel backend one grain.  A cut just past the
+  // first legal slot keeps that slot, whatever the search has yet to
+  // build for the slots after it.
+  sched::Scheduler pool(4);
+  algos::SwScores s;
+  const Fixture f =
+      make_fixture("editdist 8x8", algos::editdist_spec(8, 8, s), 8, 1);
+  SearchOptions base;
+  base.keep_all_legal = true;
+  const SearchResult full = search_affine(f.spec, f.cfg, f.proto, base);
+  ASSERT_FALSE(full.all_legal.empty());
+  const std::uint64_t first_legal = full.all_legal.front().slot;
+
+  for (const bool use_pool : {false, true}) {
+    SCOPED_TRACE(use_pool ? "parallel" : "serial");
+    SearchOptions cut = base;
+    if (use_pool) {
+      cut.scheduler = &pool;
+      cut.grain = 1;
+    }
+    std::atomic<std::uint64_t> polls{0};
+    cut.cancel = [&polls, first_legal] {
+      return polls.fetch_add(1, std::memory_order_relaxed) > first_legal;
+    };
+    const SearchResult r = search_affine(f.spec, f.cfg, f.proto, cut);
+    EXPECT_FALSE(r.exhausted);
+    EXPECT_EQ(r.enumerated, first_legal + 1);
+    if (!use_pool) {
+      EXPECT_EQ(r.next_offset, first_legal + 1);
+      ASSERT_TRUE(r.found);
+      EXPECT_EQ(r.best.slot, first_legal);
+    }
+  }
+}
+
 TEST(ParallelSearch, WorkerCapAndRequestedLanesAreRespected) {
   sched::Scheduler pool(8);
   algos::SwScores s;
