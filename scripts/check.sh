@@ -2,6 +2,9 @@
 # Full pre-merge gate:
 #
 #   1. tier-1  — plain build + the whole ctest suite (ROADMAP.md);
+#      werror  — every target built with -DHARMONY_WERROR=ON (warnings
+#      are errors, except GCC 12's -Wmaybe-uninitialized false
+#      positives, which CMakeLists.txt keeps as warnings);
 #   2. analyze — the static-analysis subsystem (race detector, linter,
 #      execution checker; ctest -L analyze) plus harmony-lint CLI smoke
 #      runs, including --check-exec on one affine and one TableMap
@@ -45,7 +48,7 @@
 # Usage:
 #   scripts/check.sh                         # all stages
 #   scripts/check.sh tier1                   # just the plain build + tests
-#   scripts/check.sh analyze|asan|tsan|perf  # just that stage
+#   scripts/check.sh werror|analyze|asan|tsan|perf  # just that stage
 #
 # Every stage runs as one &&-chain inside its function.  This matters:
 # `set -e` is suspended while a function runs as part of a condition
@@ -66,6 +69,12 @@ run_tier1() {
   cmake -B build -S . &&
   cmake --build build -j "$(nproc)" &&
   ctest --test-dir build --output-on-failure -j
+}
+
+run_werror() {
+  echo "== werror: every target with warnings as errors ==" &&
+  cmake -B build-werror -S . -DHARMONY_WERROR=ON &&
+  cmake --build build-werror -j "$(nproc)"
 }
 
 run_analyze() {
@@ -151,13 +160,17 @@ run_stage() {
 
 declare -a FAILED=()
 case "$STAGE" in
-  all)     for s in tier1 analyze asan tsan perf; do run_stage "$s"; done ;;
+  all)     for s in tier1 werror analyze asan tsan perf; do
+             run_stage "$s"
+           done ;;
   tier1)   run_stage tier1 ;;
+  werror)  run_stage werror ;;
   analyze) run_stage analyze ;;
   asan)    run_stage asan ;;
   tsan)    run_stage tsan ;;
   perf)    run_stage perf ;;
-  *)       echo "usage: $0 [all|tier1|analyze|asan|tsan|perf]" >&2; exit 2 ;;
+  *)       echo "usage: $0 [all|tier1|werror|analyze|asan|tsan|perf]" >&2
+           exit 2 ;;
 esac
 
 if [ "${#FAILED[@]}" -ne 0 ]; then

@@ -54,8 +54,9 @@ struct AffineWView {
   [[nodiscard]] std::int32_t pe(std::size_t, const fm::Point& p) const {
     return static_cast<std::int32_t>(cs.pe_index(map.place(p)));
   }
-  [[nodiscard]] std::int32_t home(const fm::CompiledDep& d) const {
-    return d.home_pe;
+  /// The home PE of input ordinal `ord`.
+  [[nodiscard]] std::int32_t home(std::uint32_t ord) const {
+    return cs.input_home[ord];
   }
 };
 
@@ -68,8 +69,8 @@ struct TableWView {
   [[nodiscard]] std::int32_t pe(std::size_t lin, const fm::Point&) const {
     return tm.pe[lin];
   }
-  [[nodiscard]] std::int32_t home(const fm::CompiledDep& d) const {
-    return tm.input_home[d.input_ord];
+  [[nodiscard]] std::int32_t home(std::uint32_t ord) const {
+    return tm.input_home[ord];
   }
 };
 
@@ -101,12 +102,12 @@ ExecWitness build_witness_impl(const fm::CompiledSpec& cs, const View& view,
     const auto here = static_cast<std::size_t>(w.op_pe[v]);
     for (std::uint64_t e = cs.dep_offsets[v]; e < cs.dep_offsets[v + 1];
          ++e) {
-      const fm::CompiledDep& d = cs.deps[e];
+      const std::uint64_t code = cs.dep_code[e];
+      const std::uint32_t src = fm::dep_source(code);
       ExecWitness::Delivery del;
       del.use_op = static_cast<std::int64_t>(v);
-      if (d.kind == fm::CompiledDep::kComputed) {
-        const auto src = static_cast<std::size_t>(d.dep_lin);
-        w.deps.push_back({d.dep_lin, static_cast<std::int64_t>(v)});
+      if (fm::dep_kind(code) == fm::DepKind::kComputed) {
+        w.deps.push_back({src, static_cast<std::int64_t>(v)});
         del.kind = ExecWitness::Delivery::kComputed;
         del.from_pe = w.op_pe[src];
         del.ready =
@@ -114,13 +115,13 @@ ExecWitness build_witness_impl(const fm::CompiledSpec& cs, const View& view,
             std::max<fm::Cycle>(
                 1, cs.transit[static_cast<std::size_t>(del.from_pe) * P +
                               here]);
-      } else if (d.kind == fm::CompiledDep::kInputDram) {
+      } else if (fm::dep_kind(code) == fm::DepKind::kInputDram) {
         del.kind = ExecWitness::Delivery::kInputDram;
         del.from_pe = -1;
         del.ready = cs.dram_cycles[here];
       } else {
         del.kind = ExecWitness::Delivery::kInputPe;
-        del.from_pe = view.home(d);
+        del.from_pe = view.home(src);
         del.ready =
             cs.transit[static_cast<std::size_t>(del.from_pe) * P + here];
       }
@@ -138,11 +139,9 @@ ExecWitness build_witness_impl(const fm::CompiledSpec& cs, const View& view,
   std::vector<fm::Cycle> last_use(n, -1);
   for (std::size_t v = 0; v < n; ++v) {
     last_use[v] = std::max(last_use[v], w.op_cycle[v]);
-    for (std::uint64_t e = cs.dep_offsets[v]; e < cs.dep_offsets[v + 1];
+    for (std::uint32_t e = cs.edge_offsets[v]; e < cs.edge_offsets[v + 1];
          ++e) {
-      const fm::CompiledDep& d = cs.deps[e];
-      if (d.kind != fm::CompiledDep::kComputed) continue;
-      const auto src = static_cast<std::size_t>(d.dep_lin);
+      const std::uint32_t src = cs.edge_src[e];
       last_use[src] = std::max(last_use[src], w.op_cycle[v]);
     }
   }

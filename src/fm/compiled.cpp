@@ -6,7 +6,6 @@
 #include <bit>
 #include <limits>
 #include <new>
-#include <sstream>
 #include <unordered_map>
 #include <utility>
 
@@ -25,7 +24,7 @@ namespace {
 std::size_t pair_slots(const CompiledSpec& cs) {
   const std::size_t dense = cs.num_pes * cs.num_pes;
   const std::size_t hashed =
-      std::bit_ceil(std::max<std::size_t>(2 * cs.deps.size(), 2));
+      std::bit_ceil(std::max<std::size_t>(2 * cs.dep_code.size(), 2));
   return std::min(dense, hashed);
 }
 
@@ -116,11 +115,6 @@ std::shared_ptr<const CompiledSpec> compile_spec(const FunctionSpec& spec,
   trace::Span span("fm", "compile", 0,
                    static_cast<std::uint64_t>(cs->num_points),
                    static_cast<std::uint64_t>(geom.num_nodes()));
-
-  cs->tensor_names.reserve(static_cast<std::size_t>(spec.num_tensors()));
-  for (TensorId t = 0; t < spec.num_tensors(); ++t) {
-    cs->tensor_names.push_back(spec.name(t));
-  }
 
   cs->cols = geom.cols();
   cs->rows = geom.rows();
@@ -234,32 +228,16 @@ std::shared_ptr<const CompiledSpec> compile_spec(const FunctionSpec& spec,
   cs->dep_offsets.push_back(0);
   cs->edge_offsets.reserve(static_cast<std::size_t>(cs->num_points) + 1);
   cs->edge_offsets.push_back(0);
+  const auto code = [](DepKind kind, std::uint64_t home, std::uint32_t src) {
+    return (static_cast<std::uint64_t>(kind) << 62) | (home << 32) | src;
+  };
   cs->domain.for_each([&](const Point& p) {
     for (const ValueRef& d : spec.deps(cs->target, p)) {
-      CompiledDep cd;
-      cd.tensor = d.tensor;
-      cd.i = d.point.i;
-      cd.j = d.point.j;
-      cd.k = d.point.k;
-      if (spec.is_input(d.tensor)) {
-        cs->has_input_deps = true;
-        cd.input_ord =
-            input_ords
-                .try_emplace(spec.value_index(d),
-                             static_cast<std::uint32_t>(input_ords.size()))
-                .first->second;
-        const InputHome& home = input_proto.input_home(d.tensor);
-        if (home.kind == InputHome::Kind::kDram) {
-          cd.kind = CompiledDep::kInputDram;
-        } else {
-          cd.kind = CompiledDep::kInputPe;
-          cd.home_pe =
-              static_cast<std::int32_t>(geom.index(home.home_of(d.point)));
-        }
-      } else {
-        cd.kind = CompiledDep::kComputed;
-        cd.dep_lin = cs->domain.linearize(d.point);
-        cs->edge_src.push_back(static_cast<std::uint32_t>(cd.dep_lin));
+      if (!spec.is_input(d.tensor)) {
+        const auto src =
+            static_cast<std::uint32_t>(cs->domain.linearize(d.point));
+        cs->dep_code.push_back(code(DepKind::kComputed, 0, src));
+        cs->edge_src.push_back(src);
         const Point delta{p.i - d.point.i, p.j - d.point.j, p.k - d.point.k};
         const std::int64_t box =
             ((delta.i + width[0] / 2) * width[1] + delta.j + width[1] / 2) *
@@ -269,18 +247,28 @@ std::shared_ptr<const CompiledSpec> compile_spec(const FunctionSpec& spec,
             box, static_cast<std::uint32_t>(cs->class_delta.size()));
         if (fresh) cs->class_delta.push_back(delta);
         cs->edge_class.push_back(it->second);
+        continue;
       }
-      cs->deps.push_back(cd);
+      cs->has_input_deps = true;
+      const auto [it, fresh] = input_ords.try_emplace(
+          spec.value_index(d), static_cast<std::uint32_t>(input_ords.size()));
+      const std::uint32_t ord = it->second;
+      if (fresh) {
+        const InputHome& home = input_proto.input_home(d.tensor);
+        cs->input_refs.push_back(d);
+        cs->input_home.push_back(
+            home.kind == InputHome::Kind::kDram
+                ? -1
+                : static_cast<std::int32_t>(
+                      geom.index(home.home_of(d.point))));
+      }
+      const std::int32_t home = cs->input_home[ord];
       cs->dep_code.push_back(
-          (std::uint64_t{cd.kind} << 62) |
-          (cd.kind == CompiledDep::kInputPe
-               ? std::uint64_t{static_cast<std::uint16_t>(cd.home_pe)} << 32
-               : 0) |
-          (cd.kind == CompiledDep::kComputed
-               ? static_cast<std::uint32_t>(cd.dep_lin)
-               : cd.input_ord));
+          home < 0 ? code(DepKind::kInputDram, 0, ord)
+                   : code(DepKind::kInputPe,
+                          static_cast<std::uint64_t>(home), ord));
     }
-    cs->dep_offsets.push_back(static_cast<std::uint64_t>(cs->deps.size()));
+    cs->dep_offsets.push_back(static_cast<std::uint64_t>(cs->dep_code.size()));
     HARMONY_REQUIRE(
         cs->edge_src.size() <= std::numeric_limits<std::uint32_t>::max(),
         "compile_spec: more than 2^32 - 1 computed dependences");
@@ -401,45 +389,16 @@ void page_deallocate(void* p, std::size_t bytes) {
 
 namespace {
 
-// The oracles are written once against a *placement view* — the PE of
-// each linearized target point and the home PE of each PE-resident
-// input value — instantiated for the AffineMap (the PE table
-// EvalContext::place filled) and the TableMap (array lookups); the
-// schedule comes in separately as one cycle per point.  One template
-// body serves both views, so the bit-identical-to-legacy pin covers
-// both instantiations.
-struct AffineView {
-  /// The PE table already holds the placement (EvalContext::place).
-  static constexpr bool kPlaced = true;
-  const std::uint16_t* point_pe;
-  [[nodiscard]] std::size_t pe(std::size_t lin) const { return point_pe[lin]; }
-  /// The home PE of input value `ord`, compiled as `home_pe`.
-  [[nodiscard]] std::size_t home(std::uint32_t /*ord*/,
-                                 std::size_t home_pe) const {
-    return home_pe;
-  }
-};
+// The oracles read a placement from ctx's PE table: EvalContext::place
+// fills it for an AffineMap, place_table copies a TableMap's.  A
+// PE-homed input's home is the compiled one (in its dep_code), or for a
+// TableMap the table's per-ordinal `homes`.  The schedule comes in
+// separately as one cycle per point.
 
-AffineView affine_view(const CompiledSpec& cs, const EvalContext& ctx) {
-  HARMONY_ASSERT_MSG(
-      static_cast<std::int64_t>(ctx.pe.size()) == cs.num_points,
-      "compiled: the PE table was not filled by place() for this spec");
-  return AffineView{ctx.pe.data()};
-}
-
-struct TableView {
-  static constexpr bool kPlaced = false;
-  const TableMap& tm;
-  [[nodiscard]] std::size_t pe(std::size_t lin) const {
-    return static_cast<std::size_t>(tm.pe[lin]);
-  }
-  [[nodiscard]] std::size_t home(std::uint32_t ord,
-                                 std::size_t /*home_pe*/) const {
-    return static_cast<std::size_t>(tm.input_home[ord]);
-  }
-};
-
-TableView table_view(const CompiledSpec& cs, const TableMap& tm) {
+/// Copies `tm`'s PEs into ctx's PE table after checking that the table
+/// matches the compiled spec and places every op on the grid.
+void place_table(const CompiledSpec& cs, const TableMap& tm,
+                 EvalContext& ctx) {
   HARMONY_REQUIRE(
       static_cast<std::int64_t>(tm.pe.size()) == cs.num_points &&
           static_cast<std::int64_t>(tm.cycle.size()) == cs.num_points &&
@@ -451,26 +410,32 @@ TableView table_view(const CompiledSpec& cs, const TableMap& tm) {
                                 return q >= 0 && q < num_pes;
                               }),
                   "compiled: TableMap places a point off the compiled grid");
-  return TableView{tm};
+  ctx.forget_placement();
+  ctx.pe.resize(tm.pe.size());
+  for (std::size_t v = 0; v < tm.pe.size(); ++v) {
+    ctx.pe[v] = static_cast<std::uint16_t>(tm.pe[v]);
+  }
 }
 
-/// Builds the core of `view`'s placement digest into ctx's scratch
-/// digest: every point's PE (which fixes every computed edge's lag) and
-/// its input arrival.  The link loads and cost sums follow on demand
-/// (complete), so a candidate rejected first pays for neither.
-template <typename View>
-PlacementDigest& build_digest(const CompiledSpec& cs, const View& view,
-                              EvalContext& ctx) {
+/// The home PE of the PE-homed input that dependence `code` reads:
+/// homes[ordinal] for a TableMap's `homes`, the compiled home for null.
+std::size_t home_of(std::uint64_t code, const std::int32_t* homes) {
+  return homes != nullptr ? static_cast<std::size_t>(homes[dep_source(code)])
+                          : dep_home(code);
+}
+
+/// Builds the core of the placement digest of ctx's PE table into its
+/// scratch digest: every point's input arrival.  The link loads and cost
+/// sums follow on demand (complete), so a candidate rejected first pays
+/// for neither.
+PlacementDigest& build_digest(const CompiledSpec& cs,
+                              const std::int32_t* homes, EvalContext& ctx) {
+  HARMONY_ASSERT_MSG(
+      static_cast<std::int64_t>(ctx.pe.size()) == cs.num_points,
+      "compiled: the PE table was not filled for this spec");
   const std::size_t P = cs.num_pes;
   const auto n = static_cast<std::size_t>(cs.num_points);
   PlacementDigest& dg = ctx.scratch;
-  if constexpr (!View::kPlaced) {
-    ctx.forget_placement();
-    ctx.pe.resize(n);
-    for (std::size_t v = 0; v < n; ++v) {
-      ctx.pe[v] = static_cast<std::uint16_t>(view.pe(v));
-    }
-  }
   if (cs.has_input_deps) {
     ctx.arrival.resize(n);
     for (std::size_t v = 0; v < n; ++v) {
@@ -481,54 +446,51 @@ PlacementDigest& build_digest(const CompiledSpec& cs, const View& view,
       for (std::uint64_t o = cs.dep_offsets[v]; o < cs.dep_offsets[v + 1];
            ++o) {
         const std::uint64_t c = cs.dep_code[o];
-        if (c >> 62 == CompiledDep::kInputDram) {
+        if (dep_kind(c) == DepKind::kInputDram) {
           arrive = std::max(arrive, cs.dram_code[here]);
-        } else if (c >> 62 == CompiledDep::kInputPe) {
-          const std::size_t from = view.home(static_cast<std::uint32_t>(c),
-                                             (c >> 32) & 0xFFFF);
-          arrive = std::max(arrive, cs.transit_code[from * P + here]);
+        } else if (dep_kind(c) == DepKind::kInputPe) {
+          arrive = std::max(arrive,
+                            cs.transit_code[home_of(c, homes) * P + here]);
         }
       }
       ctx.arrival[v] = arrive;
     }
   }
-  dg.pe = ctx.pe.data();
   dg.arrival = cs.has_input_deps ? ctx.arrival.data() : nullptr;
   dg.lag = nullptr;
   dg.collisions = nullptr;
   dg.num_collisions = 0;
-  dg.link_bits = nullptr;
   dg.links_ready = false;
   dg.cost_ready = false;
   return dg;
 }
 
 /// Completes the digest's link loads (kLinks) and cost sums (kCost) in
-/// one walk over the dependences.
+/// one walk over the dependences of ctx's PE table.
 ///
 /// The link loads: every computed edge, and the first delivery of each
 /// PE-homed input value to each consumer PE (DRAM homes excluded), along
 /// its dimension-ordered route — as legality.cpp records them.  The
 /// transfers are counted per (src, dst) PE pair, then each pair's route
-/// is walked once with count x bits, so the loads are the same integers.
-/// `when` null: every point runs (an affine digest, checked only for a
-/// schedule that starts at cycle 0 or later).  Else points at a negative
-/// cycle route nothing, as in the legacy checker, so the loads are those
-/// of this schedule.  Only the scratch digest keeps every link; a kept
-/// one keeps the largest.
+/// is walked once with count x bits, so the loads are the same integers;
+/// the digest keeps the largest.  `when` null: every point runs (an
+/// affine digest, checked only for a schedule that starts at cycle 0 or
+/// later).  Else points at a negative cycle route nothing, as in the
+/// legacy checker, so the loads are those of this schedule.
 ///
 /// The cost sums: the legacy evaluator's sweep, in its dependence and
 /// branch order (repeat-use short-circuit first for inputs, which also
 /// stamps the delivery, then DRAM / local home / remote home), so every
 /// double is bit-identical.
-template <bool kLinks, bool kCost, typename View>
-void complete(const CompiledSpec& cs, const View& view, const Cycle* when,
-              PlacementDigest& dg, EvalContext& ctx) {
+template <bool kLinks, bool kCost>
+void complete(const CompiledSpec& cs, const std::int32_t* homes,
+              const Cycle* when, PlacementDigest& dg, EvalContext& ctx) {
   static_assert(kLinks || kCost);
   HARMONY_ASSERT(!(kLinks && kCost) || when == nullptr);
   const std::size_t P = cs.num_pes;
   const auto n = static_cast<std::size_t>(cs.num_points);
   const auto bits = static_cast<std::uint64_t>(cs.bits);
+  const std::uint16_t* pe = ctx.pe.data();
   PlacementCost cost;
   ctx.begin_candidate();
   // The pair table: per slot, key src * P + dst + 1 in the high 32 bits
@@ -567,54 +529,48 @@ void complete(const CompiledSpec& cs, const View& view, const Cycle* when,
   for (std::size_t v = 0; v < n; ++v) {
     const bool routes = when == nullptr || when[v] >= 0;
     if (!kCost && !routes) continue;
-    const std::size_t here = view.pe(v);
+    const std::size_t here = pe[v];
     for (std::uint64_t o = cs.dep_offsets[v]; o < cs.dep_offsets[v + 1];
          ++o) {
       const std::uint64_t c = cs.dep_code[o];
-      const auto kind = static_cast<CompiledDep::Kind>(c >> 62);
-      const auto low = static_cast<std::uint32_t>(c);
-      if (kind == CompiledDep::kComputed) {
-        const std::size_t from = view.pe(low);
+      const DepKind kind = dep_kind(c);
+      const std::uint32_t src = dep_source(c);
+      if (kind == DepKind::kComputed) {
+        const std::size_t from = pe[src];
         if constexpr (kLinks) {
           if (routes) route(from, here);
         }
         if constexpr (kCost) move(from, here);
         continue;
       }
-      const bool first = ctx.first_delivery(low, here);
+      const bool first = ctx.first_delivery(src, here);
       if constexpr (kLinks) {
-        if (routes && first && kind == CompiledDep::kInputPe) {
-          route(view.home(low, (c >> 32) & 0xFFFF), here);
+        if (routes && first && kind == DepKind::kInputPe) {
+          route(home_of(c, homes), here);
         }
       }
       if constexpr (kCost) {
         if (!first) {
           cost.local_access_energy += cs.sram_access;
-        } else if (kind == CompiledDep::kInputDram) {
+        } else if (kind == DepKind::kInputDram) {
           cost.dram_energy += cs.dram_energy[here];
         } else {
-          move(view.home(low, (c >> 32) & 0xFFFF), here);
+          move(home_of(c, homes), here);
         }
       }
     }
   }
   if constexpr (kLinks) {
     ctx.link_bits.assign(P * 4, 0);
-    std::uint64_t* link = ctx.link_bits.data();
-    const std::uint32_t* offsets = cs.route_offsets.data();
-    const std::uint32_t* links = cs.route_links.data();
     for (const std::uint32_t i : ctx.pairs) {
       const std::uint64_t slot = std::exchange(table[i], 0);
-      const std::size_t r = (slot >> 32) - 1;
-      const std::uint64_t load = (slot & 0xFFFFFFFFu) * bits;
-      const std::uint32_t end = offsets[r + 1];
-      for (std::uint32_t o = offsets[r]; o < end; ++o) link[links[o]] += load;
+      cs.add_route_load((slot >> 32) - 1, (slot & 0xFFFFFFFFu) * bits,
+                        ctx.link_bits.data());
     }
     dg.max_link_bits = 0;
     for (const std::uint64_t b : ctx.link_bits) {
       dg.max_link_bits = std::max(dg.max_link_bits, b);
     }
-    dg.link_bits = &dg == &ctx.scratch ? ctx.link_bits.data() : nullptr;
     dg.links_ready = true;
   }
   if constexpr (kCost) {
@@ -763,177 +719,63 @@ void sort_by_pe(const CompiledSpec& cs, const std::uint16_t* pe,
   }
 }
 
-/// The storage ledger over sort_by_pe's run_events: peak live values per
-/// PE, one violation per PE that exceeds the capacity, through `fail`
-/// (schedule_pass's hook; false stops).
-template <bool kReport, typename Fail>
-bool storage_ledger(const CompiledSpec& cs, EvalContext& ctx,
-                    LegalityReport* rep, const Fail& fail) {
+/// The storage ledger over sort_by_pe's run_events: false once some PE
+/// holds more live values than its capacity.
+bool storage_ok(const CompiledSpec& cs, EvalContext& ctx) {
   for (std::size_t q = 0; q < cs.num_pes; ++q) {
     std::uint64_t* ev = ctx.run_events.data();
     const std::size_t lo = 2 * std::size_t{ctx.pe_run[q]};
     const std::size_t hi = 2 * std::size_t{ctx.pe_run[q + 1]};
     sort_run(ev + lo, ev + hi);
-    const auto pe = static_cast<std::int32_t>(q);
     std::int64_t live = 0;
-    bool flagged_this_pe = false;
     for (std::size_t a = lo; a < hi; ++a) {
       live += (ev[a] & 1) != 0 ? 1 : -1;
-      if constexpr (kReport) {
-        if (live > rep->peak_live_values) {
-          rep->peak_live_values = live;
-          rep->peak_live_pe = pe;
-        }
-      }
-      if (live > cs.pe_capacity_values && !flagged_this_pe) {
-        flagged_this_pe = true;
-        if (!fail(&LegalityReport::storage_violations, "FM003",
-                  [&](std::ostream& os) {
-                    const auto cycle = static_cast<Cycle>(ev[a] >> 1);
-                    os << "PE " << pe << " holds " << live
-                       << " live values at cycle " << cycle << " (capacity "
-                       << cs.pe_capacity_values << ")";
-                    return analyze::Location{"", pe, cycle};
-                  })) {
-          return false;
-        }
-      }
+      if (live > cs.pe_capacity_values) return false;
     }
   }
   return true;
 }
 
-// The schedule pass of a map view, written once with a compile-time
-// reporting policy; it returns whether the schedule `when` is legal over
-// the placement `dg`.  kReport (verify) counts every violation, formats
-// a diagnostic only while fewer than max_messages are kept, and tracks
-// the storage and link peaks in `*rep`; it reads the placement view for
-// diagnostic locations and input arrival cycles.  Otherwise (the
-// TableMap verify_ok) the pass returns false at the first violation: no
-// diagnostics, no peaks, no view.  An AffineMap's first-violation pass
-// is affine_schedule_ok.
-// `links()` completes the digest's link loads before the bandwidth
-// check, which is the only check that reads them.
-template <bool kReport, typename View, typename Links>
-bool schedule_pass(const CompiledSpec& cs, const View& view,
-                   const PlacementDigest& dg, const Cycle* when,
-                   Cycle makespan, const VerifyOptions& opts,
-                   EvalContext& ctx, LegalityReport* rep,
-                   const Links& links) {
+/// The TableMap schedule pass over the digest `dg` of ctx's PE table
+/// (the table's homes are `homes`), stopped at the first violation.
+/// An AffineMap's is affine_schedule_ok.
+bool table_schedule_ok(const CompiledSpec& cs, const std::int32_t* homes,
+                       PlacementDigest& dg, const Cycle* when,
+                       Cycle makespan, const VerifyOptions& opts,
+                       EvalContext& ctx) {
   HARMONY_REQUIRE(makespan <= (Cycle{1} << 40),
                   "verify: schedule exceeds 2^40 cycles");
   const std::size_t P = cs.num_pes;
   const auto n = static_cast<std::size_t>(cs.num_points);
-
-  // Every violation goes through fail(); false means stop the pass.
-  // `format(os)` writes the message and returns its Location, and runs
-  // only for a diagnostic that is kept.
-  const auto fail = [&](std::uint64_t LegalityReport::*counter,
-                        const char* rule_id, const auto& format) {
-    if constexpr (kReport) {
-      ++(rep->*counter);
-      if (rep->diagnostics.size() < opts.max_messages) {
-        std::ostringstream os;
-        analyze::Location loc = format(os);
-        rep->diagnostics.push_back(
-            analyze::make_diagnostic(rule_id, std::move(loc), os.str()));
-      }
-    }
-    return kReport;
-  };
+  const std::uint16_t* pe = ctx.pe.data();
 
   // ---- 1. causality & transit ----------------------------------------
-  if constexpr (kReport) {
-    // Every dependence in the legacy visit order, for its diagnostics.
-    // Negative-time elements report once and check nothing else.
-    const auto element = [&](TensorId t, const Point& p) {
-      std::ostringstream os;
-      os << cs.tensor_names[static_cast<std::size_t>(t)] << p;
-      return os.str();
-    };
-    const std::int64_t ni = cs.domain.extent(0);
-    const std::int64_t nj = cs.domain.extent(1);
-    const std::int64_t nk = cs.domain.extent(2);
-    std::size_t v = 0;  // row-major, the order IndexDomain::for_each visits
-    for (std::int64_t i = 0; i < ni; ++i) {
-      for (std::int64_t j = 0; j < nj; ++j) {
-        for (std::int64_t k = 0; k < nk; ++k, ++v) {
-          const Point p{i, j, k};
-          const Cycle t = when[v];
-          const std::size_t here = view.pe(v);
-          const auto at = [&] {
-            return analyze::Location{element(cs.target, p),
-                                     static_cast<std::int32_t>(here), t};
-          };
-          if (t < 0) {
-            fail(&LegalityReport::causality_violations, "FM001",
-                 [&](std::ostream& os) {
-                   os << element(cs.target, p)
-                      << " scheduled at negative cycle " << t;
-                   return at();
-                 });
-            continue;
-          }
-          for (std::uint64_t o = cs.dep_offsets[v]; o < cs.dep_offsets[v + 1];
-               ++o) {
-            const CompiledDep& d = cs.deps[o];
-            Cycle need;
-            if (d.kind == CompiledDep::kComputed) {
-              const auto u = static_cast<std::size_t>(d.dep_lin);
-              need = when[u] + std::max<Cycle>(1, cs.transit[dg.pe[u] * P +
-                                                             here]);
-            } else if (d.kind == CompiledDep::kInputDram) {
-              need = cs.dram_cycles[here];
-            } else {
-              const std::size_t home = view.home(
-                  d.input_ord, static_cast<std::size_t>(d.home_pe));
-              need = cs.transit[home * P + here];
-            }
-            if (t < need) {
-              fail(&LegalityReport::causality_violations, "FM001",
-                   [&](std::ostream& os) {
-                     os << element(cs.target, p) << " at cycle " << t
-                        << " consumes " << element(d.tensor, d.point())
-                        << " which arrives at cycle " << need;
-                     return at();
-                   });
-            }
-          }
-        }
-      }
-    }
-  } else {
-    // Per point: its own cycle, its latest input arrival, then each
-    // computed edge's gap against max(1, transit) between the two PEs —
-    // looked up only for a gap that some placement could violate.
-    for (std::size_t v = 0; v < n; ++v) {
-      const Cycle t = when[v];
-      if (t < 0) return false;
-      if (dg.arrival != nullptr && t < cs.latency[dg.arrival[v]]) {
+  // Per point: its own cycle, its latest input arrival, then each
+  // computed edge's gap against max(1, transit) between the two PEs —
+  // looked up only for a gap that some placement could violate.
+  for (std::size_t v = 0; v < n; ++v) {
+    const Cycle t = when[v];
+    if (t < 0) return false;
+    if (dg.arrival != nullptr && t < cs.latency[dg.arrival[v]]) return false;
+    const std::size_t here = pe[v];
+    for (std::uint32_t e = cs.edge_offsets[v]; e < cs.edge_offsets[v + 1];
+         ++e) {
+      const std::uint32_t u = cs.edge_src[e];
+      const Cycle gap = t - when[u];
+      if (gap < 1) return false;
+      if (gap < cs.max_lag && gap < cs.transit[pe[u] * P + here]) {
         return false;
-      }
-      const std::size_t here = dg.pe[v];
-      for (std::uint32_t e = cs.edge_offsets[v]; e < cs.edge_offsets[v + 1];
-           ++e) {
-        const std::uint32_t u = cs.edge_src[e];
-        const Cycle gap = t - when[u];
-        if (gap < 1) return false;
-        if (gap < cs.max_lag && gap < cs.transit[dg.pe[u] * P + here]) {
-          return false;
-        }
       }
     }
   }
 
-  // A first-violation pass skips the storage ledger when the capacity is
-  // at least the point count: no PE can exceed it then.
+  // The storage ledger is skipped when the capacity is at least the
+  // point count: no PE can exceed it then.
   const bool storage =
-      opts.check_storage && (kReport || cs.num_points > cs.pe_capacity_values);
-  sort_by_pe(cs, dg.pe, when, makespan, /*cycles=*/true, storage, ctx);
+      opts.check_storage && cs.num_points > cs.pe_capacity_values;
+  sort_by_pe(cs, pe, when, makespan, /*cycles=*/true, storage, ctx);
 
   // ---- 2. exclusivity: no two elements share a (PE, cycle) -----------
-  // PEs in order and each run sorted by cycle: the same visit order as
-  // one sort of every (PE, cycle) pair.
   for (std::size_t q = 0; q < P; ++q) {
     std::uint64_t* run = ctx.run_cycles.data();
     const std::uint32_t lo = ctx.pe_run[q];
@@ -941,79 +783,30 @@ bool schedule_pass(const CompiledSpec& cs, const View& view,
     if (hi - lo < 2) continue;
     sort_run(run + lo, run + hi);
     for (std::uint32_t a = lo + 1; a < hi; ++a) {
-      if (run[a] == run[a - 1] &&
-          !fail(&LegalityReport::exclusivity_violations, "FM002",
-                [&](std::ostream& os) {
-                  const auto pe = static_cast<std::int32_t>(q);
-                  const auto cycle = static_cast<Cycle>(run[a]);
-                  os << "two elements share PE " << pe << " at cycle "
-                     << cycle;
-                  return analyze::Location{"", pe, cycle};
-                })) {
-        return false;
-      }
+      if (run[a] == run[a - 1]) return false;
     }
   }
 
   // ---- 3. storage: peak live values per PE ---------------------------
-  if (storage && !storage_ledger<kReport>(cs, ctx, rep, fail)) return false;
+  if (storage && !storage_ok(cs, ctx)) return false;
 
   // ---- 4. bandwidth: average bits/cycle per directed link ------------
   // Division is monotone, so the largest load's rate is the largest
-  // rate: the first-violation pass divides once, with the same division.
+  // rate, and fm::verify divides the same integers.
   if (opts.check_bandwidth && makespan > 0) {
-    links();
-    if constexpr (kReport) {
-      HARMONY_ASSERT(dg.link_bits != nullptr);
-      for (std::size_t l = 0; l < P * 4; ++l) {
-        const double rate = static_cast<double>(dg.link_bits[l]) /
-                            static_cast<double>(makespan);
-        if (rate > rep->peak_link_bits_per_cycle) {
-          rep->peak_link_bits_per_cycle = rate;
-          rep->peak_link = static_cast<std::int64_t>(l);
-        }
-        if (rate > cs.link_bits_per_cycle) {
-          fail(&LegalityReport::bandwidth_violations, "FM004",
-               [&](std::ostream& os) {
-                 os << "directed link " << l << " carries " << rate
-                    << " bits/cycle on average (capacity "
-                    << cs.link_bits_per_cycle << ")";
-                 return analyze::Location{"link " + std::to_string(l),
-                                          static_cast<std::int32_t>(l / 4),
-                                          analyze::Location::kNoCycle};
-               });
-        }
-      }
-    } else {
-      const double rate = static_cast<double>(dg.max_link_bits) /
-                          static_cast<double>(makespan);
-      if (rate > cs.link_bits_per_cycle) return false;
-    }
+    complete</*kLinks=*/true, /*kCost=*/false>(cs, homes, when, dg, ctx);
+    const double rate = static_cast<double>(dg.max_link_bits) /
+                        static_cast<double>(makespan);
+    if (rate > cs.link_bits_per_cycle) return false;
   }
-  if constexpr (kReport) return rep->total_violations() == 0;
   return true;
 }
 
-/// One digest, then one schedule pass: every verify and the TableMap
-/// verify_ok.
-template <bool kReport, typename View>
-bool check(const CompiledSpec& cs, const View& view, const Cycle* when,
-           Cycle makespan, const VerifyOptions& opts, EvalContext& ctx,
-           LegalityReport* rep) {
-  PlacementDigest& dg = build_digest(cs, view, ctx);
-  return schedule_pass<kReport>(
-      cs, view, dg, when, makespan, opts, ctx, rep,
-      [&] {
-        complete</*kLinks=*/true, /*kCost=*/false>(cs, view, when, dg, ctx);
-      });
-}
-
-/// One digest and its cost sums: every evaluate_cost.
-template <typename View>
-CostReport cost_of(const CompiledSpec& cs, const View& view, Cycle makespan,
-                   EvalContext& ctx) {
-  PlacementDigest& dg = build_digest(cs, view, ctx);
-  complete</*kLinks=*/false, /*kCost=*/true>(cs, view, nullptr, dg, ctx);
+/// One digest of ctx's PE table and its cost sums: every evaluate_cost.
+CostReport cost_of(const CompiledSpec& cs, const std::int32_t* homes,
+                   Cycle makespan, EvalContext& ctx) {
+  PlacementDigest& dg = build_digest(cs, homes, ctx);
+  complete</*kLinks=*/false, /*kCost=*/true>(cs, homes, nullptr, dg, ctx);
   return digest_cost(cs, dg, makespan, ctx);
 }
 
@@ -1023,7 +816,7 @@ PlacementDigest& EvalContext::digest(const CompiledSpec& cs,
                                      const ReducedPlacement& key) {
   if (digest_cs_ == &cs && scratch.key == key) return scratch;
   ensure_placed(cs, key);
-  PlacementDigest& dg = build_digest(cs, affine_view(cs, *this), *this);
+  PlacementDigest& dg = build_digest(cs, nullptr, *this);
   // Each class's lag: the largest transit over its edges, as a code.
   const std::size_t P = cs.num_pes;
   const auto n = static_cast<std::size_t>(cs.num_points);
@@ -1040,7 +833,6 @@ PlacementDigest& EvalContext::digest(const CompiledSpec& cs,
   }
   collect_collisions(cs, key, *this);
   dg.key = key;
-  dg.pe = nullptr;
   dg.lag = lag.data();
   dg.collisions = collisions.data();
   dg.num_collisions = collisions.size();
@@ -1101,15 +893,14 @@ bool affine_schedule_ok(const CompiledSpec& cs, PlacementDigest& dg,
     const Cycle* when = ctx.fill_times(cs, map);
     sort_by_pe(cs, ctx.pe.data(), when, makespan, /*cycles=*/false,
                /*events=*/true, ctx);
-    const auto stop = [](auto, const char*, const auto&) { return false; };
-    if (!storage_ledger<false>(cs, ctx, nullptr, stop)) return false;
+    if (!storage_ok(cs, ctx)) return false;
   }
-  // Bandwidth, with the report's own division.
+  // Bandwidth, with fm::verify's own division.
   if (opts.check_bandwidth && makespan > 0) {
     if (!dg.links_ready) {
       ctx.ensure_placed(cs, dg.key);
-      complete</*kLinks=*/true, /*kCost=*/false>(cs, affine_view(cs, ctx),
-                                                 nullptr, dg, ctx);
+      complete</*kLinks=*/true, /*kCost=*/false>(cs, nullptr, nullptr, dg,
+                                                 ctx);
     }
     const double rate = static_cast<double>(dg.max_link_bits) /
                         static_cast<double>(makespan);
@@ -1121,16 +912,15 @@ bool affine_schedule_ok(const CompiledSpec& cs, PlacementDigest& dg,
 void complete_digest(const CompiledSpec& cs, PlacementDigest& dg,
                      EvalContext& ctx) {
   ctx.ensure_placed(cs, dg.key);
-  complete</*kLinks=*/true, /*kCost=*/true>(cs, affine_view(cs, ctx),
-                                            nullptr, dg, ctx);
+  complete</*kLinks=*/true, /*kCost=*/true>(cs, nullptr, nullptr, dg, ctx);
 }
 
 CostReport digest_cost(const CompiledSpec& cs, PlacementDigest& dg,
                        Cycle makespan, EvalContext& ctx) {
   if (!dg.cost_ready) {
     ctx.ensure_placed(cs, dg.key);
-    complete</*kLinks=*/false, /*kCost=*/true>(cs, affine_view(cs, ctx),
-                                               nullptr, dg, ctx);
+    complete</*kLinks=*/false, /*kCost=*/true>(cs, nullptr, nullptr, dg,
+                                               ctx);
   }
   CostReport rep;
   rep.makespan_cycles = makespan;
@@ -1148,17 +938,7 @@ CostReport digest_cost(const CompiledSpec& cs, PlacementDigest& dg,
 CostReport evaluate_cost(const CompiledSpec& cs, const AffineMap& map,
                          EvalContext& ctx) {
   ctx.place(cs, map);
-  return cost_of(cs, affine_view(cs, ctx), cs.makespan_cycles_of(map), ctx);
-}
-
-LegalityReport verify(const CompiledSpec& cs, const AffineMap& map,
-                      EvalContext& ctx, const VerifyOptions& opts) {
-  ctx.place(cs, map);
-  const Cycle* when = ctx.fill_times(cs, map);
-  LegalityReport rep;
-  rep.ok = check<true>(cs, affine_view(cs, ctx), when,
-                       cs.makespan_cycles_of(map), opts, ctx, &rep);
-  return rep;
+  return cost_of(cs, nullptr, cs.makespan_cycles_of(map), ctx);
 }
 
 bool verify_ok(const CompiledSpec& cs, const AffineMap& map,
@@ -1171,21 +951,17 @@ bool verify_ok(const CompiledSpec& cs, const AffineMap& map,
 
 CostReport evaluate_cost(const CompiledSpec& cs, const TableMap& tm,
                          EvalContext& ctx) {
-  return cost_of(cs, table_view(cs, tm), tm.makespan_cycles(), ctx);
-}
-
-LegalityReport verify(const CompiledSpec& cs, const TableMap& tm,
-                      EvalContext& ctx, const VerifyOptions& opts) {
-  LegalityReport rep;
-  rep.ok = check<true>(cs, table_view(cs, tm), tm.cycle.data(),
-                       tm.makespan_cycles(), opts, ctx, &rep);
-  return rep;
+  place_table(cs, tm, ctx);
+  return cost_of(cs, tm.input_home.data(), tm.makespan_cycles(), ctx);
 }
 
 bool verify_ok(const CompiledSpec& cs, const TableMap& tm,
                EvalContext& ctx, const VerifyOptions& opts) {
-  return check<false>(cs, table_view(cs, tm), tm.cycle.data(),
-                      tm.makespan_cycles(), opts, ctx, nullptr);
+  place_table(cs, tm, ctx);
+  const std::int32_t* homes = tm.input_home.data();
+  PlacementDigest& dg = build_digest(cs, homes, ctx);
+  return table_schedule_ok(cs, homes, dg, tm.cycle.data(),
+                           tm.makespan_cycles(), opts, ctx);
 }
 
 }  // namespace harmony::fm

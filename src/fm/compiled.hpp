@@ -44,19 +44,21 @@
 // lanes; each lane owns one EvalContext, which keeps fm::search_lanes
 // RaceCtx-certifiable.
 //
-// Hard invariant: evaluate_cost(CompiledSpec) and verify(CompiledSpec)
-// are *bit-identical* to their FunctionSpec counterparts on every report
-// field — same dependence visit order, same branch order, same
-// floating-point addition sequence — so the deterministic top-k
-// guarantee of DESIGN.md §10 is untouched.  Tests pin compiled vs.
-// legacy vs. the executing GridMachine ledger.  DESIGN.md §12.
+// Hard invariant: evaluate_cost(CompiledSpec) and verify_ok(CompiledSpec)
+// agree bit for bit with their FunctionSpec counterparts: the cost on
+// every CostReport field (same dependence visit order, same branch
+// order, same floating-point addition sequence), and verify_ok with
+// fm::verify(...).ok on the same mapping and options, so the
+// deterministic top-k guarantee of DESIGN.md §10 is untouched.  The
+// LegalityReport itself (counters, peaks, diagnostics) exists once, in
+// fm/legality.cpp.  Tests pin compiled vs. legacy vs. the executing
+// GridMachine ledger.  DESIGN.md §12.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -69,24 +71,27 @@
 
 namespace harmony::fm {
 
-/// One flattened dependence edge of the target tensor.  The input home
-/// (including kDistributed closures) is resolved to a concrete PE at
-/// compile time, so evaluation never touches an InputHome again.
-struct CompiledDep {
-  enum Kind : std::uint8_t {
-    kComputed = 0,   ///< dep on the target tensor itself
-    kInputDram = 1,  ///< input tensor homed in DRAM
-    kInputPe = 2,    ///< input tensor homed on a PE (home_pe below)
-  };
-  Kind kind = kComputed;
-  TensorId tensor = -1;         ///< dep tensor id (diagnostics)
-  std::int32_t home_pe = -1;    ///< kInputPe: resolved home PE index
-  std::uint32_t input_ord = 0;  ///< kInput*: dense input-value ordinal
-  std::int64_t dep_lin = -1;    ///< kComputed: linearized target index
-  std::int64_t i = 0, j = 0, k = 0;  ///< dep point
-
-  [[nodiscard]] Point point() const { return Point{i, j, k}; }
+/// What one dependence reads: the top two bits of its dep_code.
+enum class DepKind : std::uint8_t {
+  kComputed = 0,   ///< a point of the target tensor itself
+  kInputDram = 1,  ///< an input value homed in DRAM
+  kInputPe = 2,    ///< an input value homed on a PE
 };
+
+/// The kind of the dependence `code` (CompiledSpec::dep_code).
+[[nodiscard]] inline DepKind dep_kind(std::uint64_t code) {
+  return static_cast<DepKind>(code >> 62);
+}
+/// Its source: the producer's linearized point (kComputed) or the dense
+/// input ordinal (kInput*).
+[[nodiscard]] inline std::uint32_t dep_source(std::uint64_t code) {
+  return static_cast<std::uint32_t>(code);
+}
+/// kInputPe only: the input's compiled home PE, which is also
+/// CompiledSpec::input_home of its ordinal.
+[[nodiscard]] inline std::size_t dep_home(std::uint64_t code) {
+  return static_cast<std::size_t>((code >> 32) & 0xFFFF);
+}
 
 /// The search-invariant half of candidate evaluation, frozen flat.
 /// Read-only after compile_spec() — safe to share across lanes.
@@ -98,8 +103,6 @@ struct CompiledSpec {
   std::size_t bits = 32;
   double ops = 1.0;
   std::int64_t num_points = 0;
-  /// Tensor names by id, for diagnostics identical to the legacy path.
-  std::vector<std::string> tensor_names;
 
   // --- machine ---
   int cols = 1, rows = 1;
@@ -140,23 +143,16 @@ struct CompiledSpec {
 
   // --- flattened dependences, CSR over linearized target points ---
   std::vector<std::uint64_t> dep_offsets;  ///< num_points + 1 entries
-  /// Every field of each dependence, for the passes that need more than
-  /// its kind and endpoint: the report policy's schedule pass (tensor ids
-  /// for diagnostics), DeltaEval's consumer index and the strategies.
-  std::vector<CompiledDep> deps;
+  /// Every dependence in spec.deps() order, 8 bytes each: the kind in
+  /// bits 62-63, a PE-homed input's home PE in bits 32-47, and the
+  /// producer's linearized point (kComputed) or the input ordinal in
+  /// bits 0-31.  Read only through dep_kind, dep_source and dep_home.
+  std::vector<std::uint64_t> dep_code;
   /// The computed dependences alone, in the same order: the edges of
   /// point v are [edge_offsets[v], edge_offsets[v + 1]) and edge_src
   /// holds each one's producer point.
   std::vector<std::uint32_t> edge_offsets;
   std::vector<std::uint32_t> edge_src;
-  /// The dependences again, in the same order, in 8 bytes each for the
-  /// passes that stream them once per placement (arrivals, link loads,
-  /// cost): the kind in bits 62-63, a PE-homed input's home PE in bits
-  /// 32-47, and the producer's linearized point (kComputed) or the input
-  /// ordinal in bits 0-31.  A sixth of the bytes of `deps`, which those
-  /// passes read about 1.1x (matmul) to 1.5x (edit distance, inputs in
-  /// DRAM) slower.
-  std::vector<std::uint64_t> dep_code;
   /// Each edge's dependence class: the edges that share one offset
   /// (consumer point - producer point), numbered in first-seen order.
   /// Under an affine schedule t, every edge of class c has the time gap
@@ -168,6 +164,10 @@ struct CompiledSpec {
   bool has_input_deps = false;
   /// Dense input-value ordinal space size (delivered-table rows).
   std::uint32_t num_input_values = 0;
+  /// Per input ordinal, numbered first-seen in dependence order: the
+  /// value it names and its compiled home PE (-1: DRAM).
+  std::vector<ValueRef> input_refs;
+  std::vector<std::int32_t> input_home;
 
   /// PE index of an on-grid coordinate: geom.index() without its bounds
   /// check.  AffineMap::place stays on the grid when the map's cols and
@@ -178,6 +178,16 @@ struct CompiledSpec {
   }
 
   [[nodiscard]] std::size_t num_classes() const { return class_delta.size(); }
+
+  /// Adds `load` to link[l] for every directed link l on the
+  /// dimension-ordered route of PE pair r = from * num_pes + to.
+  void add_route_load(std::size_t r, std::uint64_t load,
+                      std::uint64_t* link) const {
+    const std::uint32_t end = route_offsets[r + 1];
+    for (std::uint32_t o = route_offsets[r]; o < end; ++o) {
+      link[route_links[o]] += load;
+    }
+  }
 
   /// max(0, max over the domain of time(p) + 1): the affine form attains
   /// its extremes at domain corners, so this is exact — identical to the
@@ -234,12 +244,9 @@ struct PlacementCost {
 /// keeps has both.
 struct PlacementDigest {
   /// The placement, for an affine digest (EvalContext::digest): what a
-  /// later stage re-places from.
+  /// later stage re-places from.  A TableMap digest reads its PEs from
+  /// the context's PE table instead.
   ReducedPlacement key;
-  /// Every point's PE, for a digest built from a map view (the report
-  /// policy and the TableMap overloads); null for an affine digest,
-  /// whose stages re-place from `key` when they need PEs.
-  const std::uint16_t* pe = nullptr;
   /// Per point: the code of its latest input arrival at its PE (DRAM
   /// cycles, or transit from the input's home), 0 when it reads no
   /// input.  Null when the spec reads no input at all.
@@ -254,11 +261,8 @@ struct PlacementDigest {
   /// of some pair of points.
   const Point* collisions = nullptr;
   std::size_t num_collisions = 0;
-  /// Directed-link loads in bits: computed edges plus first deliveries
-  /// of PE-homed inputs, as the bandwidth check records them.  Every
-  /// link for the scratch digest (the report policy walks them); null
-  /// for a kept one, which needs only the largest.
-  const std::uint64_t* link_bits = nullptr;
+  /// The largest directed-link load in bits: computed edges plus first
+  /// deliveries of PE-homed inputs, as the bandwidth check records them.
   std::uint64_t max_link_bits = 0;
   bool links_ready = false;
   PlacementCost cost;
@@ -359,8 +363,8 @@ class EvalContext {
     return true;
   }
 
-  /// Marks the PE table and the scratch digest as overwritten by a view
-  /// other than the placement they were built for.
+  /// Marks the PE table and the scratch digest as overwritten (by a
+  /// TableMap's PEs) since the affine placement they were built for.
   void forget_placement() {
     placed_cs_ = nullptr;
     digest_cs_ = nullptr;
@@ -384,6 +388,7 @@ class EvalContext {
   std::vector<std::uint16_t> arrival;
   std::vector<std::uint16_t> lag;
   std::vector<Point> collisions;
+  /// Every directed link's load while a digest's largest is found.
   std::vector<std::uint64_t> link_bits;
   /// Transfers per (src, dst) PE pair while link loads are summed: a
   /// table of (pair, count) slots, O(min(PEs^2, dependences)) of them
@@ -450,9 +455,9 @@ class EvalContextPool {
                                 const PlacementDigest& dg,
                                 const AffineMap& map);
 
-/// verify(cs, map, ...).ok over the affine digest `dg` of map's
+/// fm::verify(...).ok for `map` over the affine digest `dg` of its
 /// placement, stopped at the first violation; no report.  In order:
-/// makespan <= 2^40 (else it throws like verify()), no point before
+/// makespan <= 2^40 (else it throws like fm::verify), no point before
 /// cycle 0 (the corners), every input arrival (skipped when
 /// `inputs_shifted`: input_shift() is then 0 by construction), each
 /// class's gap against its lag, no collision offset at gap 0, the
@@ -476,8 +481,8 @@ void complete_digest(const CompiledSpec& cs, PlacementDigest& dg,
                                      EvalContext& ctx);
 
 // --- AffineMap oracles ------------------------------------------------
-// Each builds one scratch digest and runs one schedule pass: verify the
-// report policy's walk, verify_ok the affine pass above.
+// Each builds one scratch digest: verify_ok runs the affine pass above
+// over it, evaluate_cost completes its cost sums.
 
 /// The compiled fast path of fm::evaluate_cost — bit-identical on every
 /// CostReport field to evaluate_cost(spec, mapping, machine) for the
@@ -486,39 +491,32 @@ void complete_digest(const CompiledSpec& cs, PlacementDigest& dg,
                                        const AffineMap& map,
                                        EvalContext& ctx);
 
-/// The compiled fast path of fm::verify — identical LegalityReport
-/// (counters, peaks, diagnostics text and order) to the legacy checker.
-[[nodiscard]] LegalityReport verify(const CompiledSpec& cs,
-                                    const AffineMap& map, EvalContext& ctx,
-                                    const VerifyOptions& opts = {});
-
-/// verify(...).ok without the report: the affine digest and
-/// affine_schedule_ok, the search's own gate 2, stopped at the first
-/// violation of any enabled check, with no diagnostics.  Honors
-/// opts.check_storage / check_bandwidth exactly as verify() does;
-/// always agrees with verify(...).ok on the same (cs, map, opts).
+/// fm::verify(spec, mapping, machine, opts).ok for the same mapping,
+/// without the report: the affine digest and affine_schedule_ok, the
+/// search's own gate 2, stopped at the first violation of any enabled
+/// check.  Honors opts.check_storage / check_bandwidth exactly as
+/// fm::verify does.
 [[nodiscard]] bool verify_ok(const CompiledSpec& cs, const AffineMap& map,
                              EvalContext& ctx,
                              const VerifyOptions& opts = {});
 
 // --- TableMap (per-op) overloads --------------------------------------
 // The same oracles over a per-op placement table (strategy/table_map.hpp)
-// instead of an affine form.  Same dependence visit order, same branch
-// order, same floating-point addition sequence — bit-identical to the
-// legacy path on the lowered to_mapping(spec, tm) mapping, exactly as
-// the AffineMap overloads are pinned to theirs.  The table's per-value
-// input homes override the compiled home_pe (a move may re-home a
-// PE-resident value); DRAM/PE kinds never change.  The table must match
-// the compiled spec: num_points ops, num_input_values homes.
+// instead of an affine form, pinned to the legacy oracles on the lowered
+// to_mapping(spec, tm) mapping as the AffineMap overloads are to theirs.
+// The table's per-value input homes override the compiled ones (a move
+// may re-home a PE-resident value); DRAM/PE kinds never change.  The
+// table must match the compiled spec (num_points ops, num_input_values
+// homes) and place every op on the grid, else InvalidArgument.
 struct TableMap;
 
 [[nodiscard]] CostReport evaluate_cost(const CompiledSpec& cs,
                                        const TableMap& tm, EvalContext& ctx);
 
-[[nodiscard]] LegalityReport verify(const CompiledSpec& cs,
-                                    const TableMap& tm, EvalContext& ctx,
-                                    const VerifyOptions& opts = {});
-
+/// fm::verify(...).ok on the lowered mapping, stopped at the first
+/// violation: per point its cycle, input arrival and computed edges,
+/// then a counting sort by PE for exclusivity, the storage ledger (only
+/// when pe_capacity_values < num_points) and the largest link load.
 [[nodiscard]] bool verify_ok(const CompiledSpec& cs, const TableMap& tm,
                              EvalContext& ctx,
                              const VerifyOptions& opts = {});

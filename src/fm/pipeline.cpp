@@ -453,20 +453,17 @@ std::vector<ExecutionResult> execute_pipeline(
               " of stage " + st.name + " has the wrong size");
     }
 
-    // Verify before running.
-    const auto cs = compile_spec(spec, machine, proto);
-    EvalContext ctx(*cs);
+    // Verify the mapping the machine runs before running it.
     const bool affine = strategy == StrategyKind::kExhaustive;
-    const LegalityReport legality =
-        affine ? verify(*cs, sr.affine, ctx) : verify(*cs, sr.table, ctx);
+    Mapping mapping = affine ? proto : to_mapping(spec, sr.table);
+    if (affine) {
+      mapping.set_computed(target, sr.affine.place_fn(), sr.affine.time_fn());
+    }
+    const LegalityReport legality = verify(spec, mapping, machine);
     if (!legality.ok) {
       throw SimulationError("execute_pipeline: stage " + st.name +
                             " has an illegal mapping: " +
                             legality.first_message());
-    }
-    Mapping mapping = affine ? proto : to_mapping(spec, sr.table);
-    if (affine) {
-      mapping.set_computed(target, sr.affine.place_fn(), sr.affine.time_fn());
     }
     out.push_back(gm.run(spec, mapping, inputs));
   }

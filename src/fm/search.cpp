@@ -346,8 +346,6 @@ PlacementDigest* PlacementTable::keep(PlacementDigest& dg, EvalContext& ctx) {
   complete_digest(cs_, dg, ctx);
   std::byte* next = arena_.data() + used;
   auto* kept = new (next) PlacementDigest(dg);
-  kept->pe = nullptr;
-  kept->link_bits = nullptr;
   std::byte* at = next + record;
   // Copies `bytes` from `src` (null when empty) to `at` and steps past.
   const auto copy = [&at](const void* src, std::size_t bytes) {

@@ -11,7 +11,9 @@
 // coefficients from another, with the time offset auto-normalized so the
 // schedule starts at cycle 0.  Candidates pass three gates:
 //   1. a cheap sampled causality pre-check (rejects most of the space),
-//   2. the full legality verifier (fm/legality.hpp),
+//   2. full legality, stopped at the first violation
+//      (affine_schedule_ok, fm/compiled.hpp; it agrees with
+//      fm::verify's ok bit),
 //   3. cost evaluation and ranking by the requested figure of merit.
 // Benches E8 uses this to show the wavefront emerging from search rather
 // than being hand-planted.

@@ -9,12 +9,12 @@ namespace harmony::fm {
 
 namespace {
 
-/// Arrival need of one dependence edge at consumer PE `here`, exactly as
-/// verify() computes it: producer time + max(1, transit) for computed
-/// edges; DRAM latency or home-to-here transit for inputs.
-Cycle input_need(const CompiledSpec& cs, const CompiledDep& d,
+/// Arrival need of input dependence `code` at consumer PE `here`,
+/// exactly as fm::verify computes it: DRAM latency, or transit from the
+/// value's `home`.
+Cycle input_need(const CompiledSpec& cs, std::uint64_t code,
                  std::int32_t home, std::size_t here) {
-  return d.kind == CompiledDep::kInputDram
+  return dep_kind(code) == DepKind::kInputDram
              ? cs.dram_cycles[here]
              : cs.transit[static_cast<std::size_t>(home) * cs.num_pes + here];
 }
@@ -30,7 +30,7 @@ std::shared_ptr<const StrategySpec> build_strategy_spec(
   ss->cs = std::move(cs);
   const CompiledSpec& c = *ss->cs;
   const auto n = static_cast<std::size_t>(c.num_points);
-  const std::size_t E = c.deps.size();
+  const std::size_t E = c.dep_code.size();
   const std::size_t P = c.num_pes;
 
   // Edge -> consuming op, then the reverse CSR (producer -> edges).
@@ -39,9 +39,8 @@ std::shared_ptr<const StrategySpec> build_strategy_spec(
   for (std::size_t v = 0; v < n; ++v) {
     for (std::uint64_t e = c.dep_offsets[v]; e < c.dep_offsets[v + 1]; ++e) {
       ss->edge_owner[e] = static_cast<std::int64_t>(v);
-      if (c.deps[e].kind == CompiledDep::kComputed) {
-        ++ss->consumer_offsets[static_cast<std::size_t>(c.deps[e].dep_lin) +
-                               1];
+      if (dep_kind(c.dep_code[e]) == DepKind::kComputed) {
+        ++ss->consumer_offsets[dep_source(c.dep_code[e]) + 1];
       }
     }
   }
@@ -53,43 +52,32 @@ std::shared_ptr<const StrategySpec> build_strategy_spec(
     std::vector<std::uint64_t> cursor(ss->consumer_offsets.begin(),
                                       ss->consumer_offsets.end() - 1);
     for (std::uint64_t e = 0; e < E; ++e) {
-      if (c.deps[e].kind != CompiledDep::kComputed) continue;
-      const auto w = static_cast<std::size_t>(c.deps[e].dep_lin);
-      ss->consumers[cursor[w]++] =
+      if (dep_kind(c.dep_code[e]) != DepKind::kComputed) continue;
+      ss->consumers[cursor[dep_source(c.dep_code[e])]++] =
           StrategySpec::ConsumerRef{ss->edge_owner[e], e};
     }
   }
 
-  // Input ordinal -> consuming edges, plus the per-ordinal exemplar
-  // reference/home (first-seen, same dense numbering as compile_spec).
+  // Input ordinal -> consuming edges (CSR), and the PE-homed ordinals.
   const std::size_t I = c.num_input_values;
   ss->input_consumer_offsets.assign(I + 1, 0);
-  ss->input_refs.resize(I);
-  ss->input_home.assign(I, -1);
-  std::vector<char> seen(I, 0);
   for (std::uint64_t e = 0; e < E; ++e) {
-    const CompiledDep& d = c.deps[e];
-    if (d.kind == CompiledDep::kComputed) continue;
-    ++ss->input_consumer_offsets[d.input_ord + 1];
-    if (seen[d.input_ord] == 0) {
-      seen[d.input_ord] = 1;
-      ss->input_refs[d.input_ord] = TableMap::InputRef{d.tensor, d.point()};
-      if (d.kind == CompiledDep::kInputPe) {
-        ss->input_home[d.input_ord] = d.home_pe;
-        ss->pe_homed.push_back(d.input_ord);
-      }
-    }
+    if (dep_kind(c.dep_code[e]) == DepKind::kComputed) continue;
+    ++ss->input_consumer_offsets[dep_source(c.dep_code[e]) + 1];
   }
   for (std::size_t o = 0; o < I; ++o) {
     ss->input_consumer_offsets[o + 1] += ss->input_consumer_offsets[o];
+    if (c.input_home[o] >= 0) {
+      ss->pe_homed.push_back(static_cast<std::uint32_t>(o));
+    }
   }
   ss->input_consumers.resize(ss->input_consumer_offsets[I]);
   {
     std::vector<std::uint64_t> cursor(ss->input_consumer_offsets.begin(),
                                       ss->input_consumer_offsets.end() - 1);
     for (std::uint64_t e = 0; e < E; ++e) {
-      if (c.deps[e].kind == CompiledDep::kComputed) continue;
-      ss->input_consumers[cursor[c.deps[e].input_ord]++] = e;
+      if (dep_kind(c.dep_code[e]) == DepKind::kComputed) continue;
+      ss->input_consumers[cursor[dep_source(c.dep_code[e])]++] = e;
     }
   }
 
@@ -124,7 +112,7 @@ TableMap seed_table(const StrategySpec& ss) {
   for (std::size_t v = 0; v < n; ++v) {
     for (std::uint64_t e = cs.dep_offsets[v]; e < cs.dep_offsets[v + 1];
          ++e) {
-      if (cs.deps[e].kind == CompiledDep::kComputed) ++indeg[v];
+      if (dep_kind(cs.dep_code[e]) == DepKind::kComputed) ++indeg[v];
     }
   }
   std::priority_queue<std::int64_t, std::vector<std::int64_t>,
@@ -141,8 +129,8 @@ TableMap seed_table(const StrategySpec& ss) {
   tm.rows = cs.rows;
   tm.pe.resize(n);
   tm.cycle.resize(n);
-  tm.input_refs = ss.input_refs;
-  tm.input_home = ss.input_home;
+  tm.input_refs = cs.input_refs;
+  tm.input_home = cs.input_home;
 
   // Block placement keeps per-PE residency at ceil(n / P) — the minimum
   // any table can achieve — and the stride leaves room for the slowest
@@ -255,10 +243,7 @@ void DeltaEval::sync_links() {
     link_synced_[r] = n_transfer_[r];
     link_dirty_[r] = 0;
     if (delta == 0) continue;
-    for (std::uint32_t o = cs.route_offsets[r]; o < cs.route_offsets[r + 1];
-         ++o) {
-      link_bits_[cs.route_links[o]] += delta * bits;
-    }
+    cs.add_route_load(r, delta * bits, link_bits_.data());
   }
   link_dirty_list_.clear();
 }
@@ -286,9 +271,10 @@ void DeltaEval::movement_add(std::size_t from, std::size_t to, bool add) {
   }
 }
 
-/// The once-per-(ordinal, PE) delivery contribution.
-void DeltaEval::delivery_add(const CompiledDep& d, std::size_t pe, bool add) {
-  if (d.kind == CompiledDep::kInputDram) {
+/// The once-per-(ordinal, PE) delivery contribution of input dependence
+/// `code`.
+void DeltaEval::delivery_add(std::uint64_t code, std::size_t pe, bool add) {
+  if (dep_kind(code) == DepKind::kInputDram) {
     if (add) {
       ++n_dram_[pe];
     } else {
@@ -297,25 +283,26 @@ void DeltaEval::delivery_add(const CompiledDep& d, std::size_t pe, bool add) {
     return;
   }
   const auto home =
-      static_cast<std::size_t>(tm_.input_home[d.input_ord]);
+      static_cast<std::size_t>(tm_.input_home[dep_source(code)]);
   movement_add(home, pe, add);
 }
 
-/// Adjusts the delivered-set count of (d.input_ord, pe) by one read.
-/// First read pays the delivery; repeat reads pay a local SRAM access —
-/// the same totals evaluate_cost's first_delivery scan produces.
-void DeltaEval::deliv_change(const CompiledDep& d, std::size_t pe, bool add) {
+/// Adjusts the delivered-set count of (the ordinal `code` reads, pe) by
+/// one read.  First read pays the delivery; repeat reads pay a local
+/// SRAM access — the same totals evaluate_cost's first_delivery scan
+/// produces.
+void DeltaEval::deliv_change(std::uint64_t code, std::size_t pe, bool add) {
   std::uint32_t& c =
-      deliv_[static_cast<std::size_t>(d.input_ord) * P_ + pe];
+      deliv_[static_cast<std::size_t>(dep_source(code)) * P_ + pe];
   if (add) {
     if (c++ == 0) {
-      delivery_add(d, pe, true);
+      delivery_add(code, pe, true);
     } else {
       ++n_local_;
     }
   } else {
     if (--c == 0) {
-      delivery_add(d, pe, false);
+      delivery_add(code, pe, false);
     } else {
       --n_local_;
     }
@@ -419,7 +406,7 @@ void DeltaEval::reset(const TableMap& tm) {
   deliv_.assign(static_cast<std::size_t>(cs.num_input_values) * P_, 0);
   cyc_hist_.assign(static_cast<std::size_t>(ss_->cycle_bound), 0);
   max_cycle_ = 0;
-  edge_bad_.assign(cs.deps.size(), 0);
+  edge_bad_.assign(cs.dep_code.size(), 0);
   causality_bad_ = 0;
   // At most n distinct slots, so a table of 2n or more stays at most
   // half full.
@@ -452,9 +439,9 @@ void DeltaEval::reset(const TableMap& tm) {
     value_insert(static_cast<std::int64_t>(v), pe);
     for (std::uint64_t e = cs.dep_offsets[v]; e < cs.dep_offsets[v + 1];
          ++e) {
-      const CompiledDep& d = cs.deps[e];
-      if (d.kind == CompiledDep::kComputed) {
-        const auto w = static_cast<std::size_t>(d.dep_lin);
+      const std::uint64_t c = cs.dep_code[e];
+      if (dep_kind(c) == DepKind::kComputed) {
+        const std::size_t w = dep_source(c);
         const auto there = static_cast<std::size_t>(tm_.pe[w]);
         movement_add(there, pe, true);
         const Cycle need =
@@ -465,8 +452,8 @@ void DeltaEval::reset(const TableMap& tm) {
           cons_last_[w] = std::max(cons_last_[w], when);
         }
       } else {
-        deliv_change(d, pe, true);
-        set_bad(e, when < input_need(cs, d, tm_.input_home[d.input_ord],
+        deliv_change(c, pe, true);
+        set_bad(e, when < input_need(cs, c, tm_.input_home[dep_source(c)],
                                      pe));
       }
     }
@@ -479,9 +466,8 @@ void DeltaEval::update_producer_last_use(std::int64_t u) {
   const auto ui = static_cast<std::size_t>(u);
   for (std::uint64_t e = cs.dep_offsets[ui]; e < cs.dep_offsets[ui + 1];
        ++e) {
-    const CompiledDep& d = cs.deps[e];
-    if (d.kind != CompiledDep::kComputed) continue;
-    const auto w = static_cast<std::size_t>(d.dep_lin);
+    if (dep_kind(cs.dep_code[e]) != DepKind::kComputed) continue;
+    const std::size_t w = dep_source(cs.dep_code[e]);
     Cycle last = -1;
     for (std::uint64_t o = ss_->consumer_offsets[w];
          o < ss_->consumer_offsets[w + 1]; ++o) {
@@ -516,9 +502,9 @@ void DeltaEval::apply_replace(std::int64_t u, std::int32_t new_pe,
   const bool moved = pe != old_pe;
   for (std::uint64_t e = cs.dep_offsets[ui]; e < cs.dep_offsets[ui + 1];
        ++e) {
-    const CompiledDep& d = cs.deps[e];
-    if (d.kind == CompiledDep::kComputed) {
-      const auto w = static_cast<std::size_t>(d.dep_lin);
+    const std::uint64_t c = cs.dep_code[e];
+    if (dep_kind(c) == DepKind::kComputed) {
+      const std::size_t w = dep_source(c);
       const auto there = static_cast<std::size_t>(tm_.pe[w]);
       if (moved) {
         // A self-edge's producer moved with it.
@@ -530,11 +516,11 @@ void DeltaEval::apply_replace(std::int64_t u, std::int32_t new_pe,
       set_bad(e, when < need);
     } else {
       if (moved) {
-        deliv_change(d, old_pe, false);
-        deliv_change(d, pe, true);
+        deliv_change(c, old_pe, false);
+        deliv_change(c, pe, true);
       }
       set_bad(e,
-              when < input_need(cs, d, tm_.input_home[d.input_ord], pe));
+              when < input_need(cs, c, tm_.input_home[dep_source(c)], pe));
     }
   }
   for (std::uint64_t o = ss_->consumer_offsets[ui];
@@ -572,7 +558,7 @@ void DeltaEval::apply_shift_home(std::int64_t ord, std::int32_t pe) {
       const std::uint64_t e = ss_->input_consumers[o];
       const auto ci = static_cast<std::size_t>(ss_->edge_owner[e]);
       set_bad(e, tm_.cycle[ci] <
-                     input_need(cs, cs.deps[e], pe,
+                     input_need(cs, cs.dep_code[e], pe,
                                 static_cast<std::size_t>(tm_.pe[ci])));
     }
   }
@@ -607,8 +593,8 @@ Move DeltaEval::apply_move(const Move& m) {
     case MoveKind::kShiftHome: {
       HARMONY_REQUIRE(
           m.a >= 0 &&
-              m.a < static_cast<std::int64_t>(ss_->input_home.size()) &&
-              ss_->input_home[static_cast<std::size_t>(m.a)] >= 0 &&
+              m.a < static_cast<std::int64_t>(ss_->cs->input_home.size()) &&
+              ss_->cs->input_home[static_cast<std::size_t>(m.a)] >= 0 &&
               m.pe >= 0 && static_cast<std::size_t>(m.pe) < P_,
           "DeltaEval: home shift on a DRAM input or outside the machine");
       Move inv{MoveKind::kShiftHome, m.a, 0,

@@ -16,8 +16,10 @@
 //     sequence the state — and cost_report(), which derives every field
 //     from it by a fixed-order conversion — is bit-identical to a fresh
 //     reset() on the same table;
-//   * legal() always agrees with verify_ok(cs, tm, ctx, opts), and the
-//     four violation counters equal verify(cs, tm, ctx, opts)'s;
+//   * the four violation counters equal those of the legacy report
+//     fm::verify(spec, to_mapping(spec, tm), machine, opts), and
+//     legal() always agrees with its ok bit and with
+//     verify_ok(cs, tm, ctx, opts);
 //   * cost_report() matches evaluate_cost(cs, tm, ctx) exactly on the
 //     integer fields (makespan_cycles, messages, bit_hops, total_ops);
 //     the energy doubles are the same count-weighted sums evaluated in
@@ -59,22 +61,18 @@ struct StrategySpec {
   std::shared_ptr<const CompiledSpec> cs;
 
   /// Reverse CSR over target ops: for producer v, the edges that read
-  /// it.  `op` is the consuming op, `edge` indexes cs->deps.
+  /// it.  `op` is the consuming op, `edge` indexes cs->dep_code.
   struct ConsumerRef {
     std::int64_t op = 0;
     std::uint64_t edge = 0;
   };
   std::vector<std::uint64_t> consumer_offsets;  ///< num_points + 1
   std::vector<ConsumerRef> consumers;
-  /// Consuming op of every edge in cs->deps.
+  /// Consuming op of every edge in cs->dep_code.
   std::vector<std::int64_t> edge_owner;
   /// Per input ordinal: the edges that read it (CSR).
   std::vector<std::uint64_t> input_consumer_offsets;
   std::vector<std::uint64_t> input_consumers;
-  /// Compiled home per ordinal (-1 = DRAM) plus the exemplar reference,
-  /// mirrored out of cs->deps for O(1) access and TableMap construction.
-  std::vector<TableMap::InputRef> input_refs;
-  std::vector<std::int32_t> input_home;
   /// Ordinals with a PE home — the kShiftHome move targets.
   std::vector<std::uint32_t> pe_homed;
   /// Worst-case hop latency and input-arrival latency on this machine —
@@ -120,9 +118,10 @@ class DeltaEval {
   /// flushes lazily-dirtied per-PE storage peaks.
   [[nodiscard]] bool legal();
 
-  /// Violation counters matching verify(cs, table(), ctx, opts)'s
-  /// exactly.  Storage/bandwidth are computed on demand (and regardless
-  /// of the VerifyOptions gates — the gates only affect legal()).
+  /// Violation counters matching the legacy fm::verify report on
+  /// to_mapping(spec, table()) exactly.  Storage/bandwidth are computed
+  /// on demand (and regardless of the VerifyOptions gates — the gates
+  /// only affect legal()).
   [[nodiscard]] std::uint64_t causality_violations() const {
     return causality_bad_;
   }
@@ -153,8 +152,8 @@ class DeltaEval {
   void hist_erase(Cycle c);
   void sync_links();
   void movement_add(std::size_t from, std::size_t to, bool add);
-  void delivery_add(const CompiledDep& d, std::size_t pe, bool add);
-  void deliv_change(const CompiledDep& d, std::size_t pe, bool add);
+  void delivery_add(std::uint64_t code, std::size_t pe, bool add);
+  void deliv_change(std::uint64_t code, std::size_t pe, bool add);
   void value_insert(std::int64_t v, std::size_t pe);
   void value_erase(std::int64_t v, std::size_t pe);
   void apply_replace(std::int64_t u, std::int32_t pe, Cycle cycle);

@@ -31,19 +31,18 @@ Cycle earliest_cycle(const StrategySpec& ss, const TableMap& cur,
   const std::uint64_t lo = cs.dep_offsets[static_cast<std::size_t>(u)];
   const std::uint64_t hi = cs.dep_offsets[static_cast<std::size_t>(u) + 1];
   for (std::uint64_t e = lo; e < hi; ++e) {
-    const CompiledDep& d = cs.deps[e];
+    const std::uint64_t code = cs.dep_code[e];
+    const std::size_t src = dep_source(code);
     Cycle need = 0;
-    if (d.kind == CompiledDep::kComputed) {
-      if (d.dep_lin == u) continue;
-      const auto w = static_cast<std::size_t>(d.dep_lin);
+    if (dep_kind(code) == DepKind::kComputed) {
+      if (src == static_cast<std::size_t>(u)) continue;
       const Cycle tr =
-          cs.transit[static_cast<std::size_t>(cur.pe[w]) * P + here];
-      need = cur.cycle[w] + std::max<Cycle>(1, tr);
-    } else if (d.kind == CompiledDep::kInputDram) {
+          cs.transit[static_cast<std::size_t>(cur.pe[src]) * P + here];
+      need = cur.cycle[src] + std::max<Cycle>(1, tr);
+    } else if (dep_kind(code) == DepKind::kInputDram) {
       need = cs.dram_cycles[here];
     } else {
-      const auto home = static_cast<std::size_t>(
-          cur.input_home[static_cast<std::size_t>(d.input_ord)]);
+      const auto home = static_cast<std::size_t>(cur.input_home[src]);
       need = cs.transit[home * P + here];
     }
     c = std::max(c, need);

@@ -22,20 +22,8 @@ TableMap table_from_affine(const CompiledSpec& cs, const AffineMap& map) {
     tm.pe[v] = static_cast<std::int32_t>(cs.pe_index(map.place(p)));
     tm.cycle[v] = map.time(p);
   });
-  // Input ordinals are dense and first-seen in deps order (compile_spec's
-  // try_emplace), so one pass over the flat edges recovers each ordinal's
-  // exemplar reference and compiled home.
-  tm.input_home.assign(cs.num_input_values, -1);
-  tm.input_refs.resize(cs.num_input_values);
-  std::vector<char> seen(cs.num_input_values, 0);
-  for (const CompiledDep& d : cs.deps) {
-    if (d.kind == CompiledDep::kComputed) continue;
-    if (seen[d.input_ord] != 0) continue;
-    seen[d.input_ord] = 1;
-    tm.input_refs[d.input_ord] = TableMap::InputRef{d.tensor, d.point()};
-    tm.input_home[d.input_ord] =
-        d.kind == CompiledDep::kInputPe ? d.home_pe : -1;
-  }
+  tm.input_refs = cs.input_refs;
+  tm.input_home = cs.input_home;
   return tm;
 }
 
@@ -53,24 +41,17 @@ TableMap table_from_mapping(const CompiledSpec& cs, const Mapping& m) {
     tm.pe[v] = static_cast<std::int32_t>(cs.pe_index(m.place(cs.target, p)));
     tm.cycle[v] = m.time(cs.target, p);
   });
-  // Same ordinal recovery as table_from_affine, with homes read from the
-  // mapping instead of the compiled snapshot.  The compiled kind stays
+  // The per-ordinal homes read from the mapping; the compiled kind stays
   // authoritative for DRAM-vs-PE (it came from the same input proto).
-  tm.input_home.assign(cs.num_input_values, -1);
-  tm.input_refs.resize(cs.num_input_values);
-  std::vector<char> seen(cs.num_input_values, 0);
-  for (const CompiledDep& d : cs.deps) {
-    if (d.kind == CompiledDep::kComputed) continue;
-    if (seen[d.input_ord] != 0) continue;
-    seen[d.input_ord] = 1;
-    tm.input_refs[d.input_ord] = TableMap::InputRef{d.tensor, d.point()};
-    if (d.kind == CompiledDep::kInputPe) {
-      const InputHome& home = m.input_home(d.tensor);
-      tm.input_home[d.input_ord] =
-          home.kind == InputHome::Kind::kDram
-              ? d.home_pe
-              : static_cast<std::int32_t>(
-                    cs.pe_index(home.home_of(d.point())));
+  tm.input_refs = cs.input_refs;
+  tm.input_home = cs.input_home;
+  for (std::size_t ord = 0; ord < tm.input_home.size(); ++ord) {
+    if (tm.input_home[ord] < 0) continue;
+    const ValueRef& ref = tm.input_refs[ord];
+    const InputHome& home = m.input_home(ref.tensor);
+    if (home.kind != InputHome::Kind::kDram) {
+      tm.input_home[ord] = static_cast<std::int32_t>(
+          cs.pe_index(home.home_of(ref.point)));
     }
   }
   return tm;
@@ -101,7 +82,7 @@ Mapping to_mapping(const FunctionSpec& spec, const TableMap& tm) {
                                    std::unordered_map<std::int64_t, noc::Coord>>>
       homes;
   for (std::size_t ord = 0; ord < tm.input_refs.size(); ++ord) {
-    const TableMap::InputRef& ref = tm.input_refs[ord];
+    const ValueRef& ref = tm.input_refs[ord];
     if (ref.tensor < 0 || tm.input_home[ord] < 0) continue;
     auto& table = homes[ref.tensor];
     if (table == nullptr) {

@@ -12,9 +12,10 @@
 //   * to_mapping() builds a closure-based fm::Mapping, so the legacy
 //     oracles (evaluate_cost, verify), the linter, and the GridMachine
 //     all consume it unchanged;
-//   * compiled.hpp's TableMap overloads of evaluate_cost / verify /
-//     verify_ok run it through the CompiledSpec flat arrays, pinned
-//     bit-identical to the lowered-Mapping path by tests.
+//   * compiled.hpp's TableMap overloads of evaluate_cost / verify_ok
+//     run it through the CompiledSpec flat arrays, pinned to the
+//     lowered-Mapping path by tests (the cost bit for bit, verify_ok to
+//     the legacy report's ok bit).
 // The stochastic searchers (fm/strategy/strategy.hpp) mutate TableMaps
 // through the delta evaluator (fm/strategy/delta.hpp).
 #pragma once
@@ -46,13 +47,9 @@ struct TableMap {
   /// fixed at compile time (a DRAM-homed value never moves on-chip), so
   /// entries are either always -1 or always a valid PE index.
   std::vector<std::int32_t> input_home;
-  /// Exemplar (tensor, point) of each input ordinal — what to_mapping()
-  /// needs to rebuild per-tensor InputHome closures.
-  struct InputRef {
-    TensorId tensor = -1;
-    Point point{};
-  };
-  std::vector<InputRef> input_refs;
+  /// The value each input ordinal names (CompiledSpec::input_refs) —
+  /// what to_mapping() needs to rebuild per-tensor InputHome closures.
+  std::vector<ValueRef> input_refs;
 
   [[nodiscard]] std::int64_t num_ops() const {
     return static_cast<std::int64_t>(pe.size());

@@ -29,6 +29,7 @@
 // never reads past the buffer.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -93,9 +94,16 @@ class Writer {
   [[nodiscard]] const std::vector<std::uint8_t>& data() const { return out_; }
 
  private:
+  // Grows the capacity itself (doubling) and copies with memcpy: GCC 12
+  // misreads the reallocating range insert of a short vector as an
+  // out-of-bounds copy (-Warray-bounds at -O2, -Wstringop-overflow at
+  // -O3).
   void append(const void* p, std::size_t n) {
-    const auto* b = static_cast<const std::uint8_t*>(p);
-    out_.insert(out_.end(), b, b + n);
+    if (n == 0) return;
+    const std::size_t at = out_.size();
+    if (out_.capacity() - at < n) out_.reserve(std::max(2 * at, at + n));
+    out_.resize(at + n);
+    std::memcpy(out_.data() + at, p, n);
   }
   std::vector<std::uint8_t> out_;
 };

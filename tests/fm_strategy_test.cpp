@@ -138,12 +138,15 @@ void expect_state_identical(DeltaEval& inc, DeltaEval& fresh) {
   }
 }
 
-/// DeltaEval counters vs the compiled verifier, legal() vs verify_ok,
-/// and the cost report vs evaluate_cost, all on the evaluator's table.
-void expect_matches_oracles(DeltaEval& de, EvalContext& ctx) {
+/// DeltaEval counters vs the legacy verifier's report on the lowered
+/// table, legal() vs that report and the compiled verify_ok, and the
+/// cost report vs evaluate_cost, all on the evaluator's table.
+void expect_matches_oracles(DeltaEval& de, EvalContext& ctx,
+                            const Fixture& f) {
   const CompiledSpec& cs = *de.strategy().cs;
   const TableMap& tm = de.table();
-  const LegalityReport lr = verify(cs, tm, ctx, de.options());
+  const LegalityReport lr =
+      verify(f.spec, to_mapping(f.spec, tm), f.cfg, de.options());
   EXPECT_EQ(de.causality_violations(), lr.causality_violations);
   EXPECT_EQ(de.exclusivity_violations(), lr.exclusivity_violations);
   if (de.options().check_storage) {
@@ -166,7 +169,7 @@ TEST(SeedTable, LegalOnIrregularDagAndMatchesOracles) {
     DeltaEval de(f.ss);
     de.reset(seed);
     EXPECT_TRUE(de.legal());
-    expect_matches_oracles(de, ctx);
+    expect_matches_oracles(de, ctx, f);
   }
 }
 
@@ -192,24 +195,29 @@ TEST(TableFromAffine, OracleParityCompiledAndLowered) {
   const TableMap tm = table_from_affine(*cs, amap);
   expect_cost_identical(evaluate_cost(*cs, tm, ctx),
                         evaluate_cost(*cs, amap, ctx));
-  const LegalityReport via_table = verify(*cs, tm, ctx);
-  const LegalityReport via_affine = verify(*cs, amap, ctx);
-  EXPECT_EQ(via_table.ok, via_affine.ok);
+  EXPECT_TRUE(verify_ok(*cs, tm, ctx));
+
+  const Mapping lowered = to_mapping(spec, tm);
+  Mapping direct = proto;
+  direct.set_computed(spec.computed_tensors()[0], amap.place_fn(),
+                      amap.time_fn());
+  expect_cost_identical(evaluate_cost(spec, lowered, cfg),
+                        evaluate_cost(*cs, tm, ctx));
+  const LegalityReport via_table = verify(spec, lowered, cfg);
+  const LegalityReport via_affine = verify(spec, direct, cfg);
+  EXPECT_TRUE(via_table.ok);
+  EXPECT_TRUE(via_affine.ok);
   EXPECT_EQ(via_table.peak_live_values, via_affine.peak_live_values);
   EXPECT_EQ(via_table.peak_link_bits_per_cycle,
             via_affine.peak_link_bits_per_cycle);
-
-  const Mapping lowered = to_mapping(spec, tm);
-  expect_cost_identical(evaluate_cost(spec, lowered, cfg),
-                        evaluate_cost(*cs, tm, ctx));
-  EXPECT_TRUE(verify(spec, lowered, cfg).ok);
 }
 
 TEST(DeltaEval, RandomMoveSequenceParity) {
   // The S4 pin: after ANY sequence of applies, the incrementally
   // maintained state is bit-identical to a fresh reset() on the same
-  // table, agrees with the compiled verifier/cost oracles, and undoing
-  // the whole sequence restores the initial state exactly.
+  // table, agrees with the legacy verifier's counters and the compiled
+  // verify_ok/cost oracles, and undoing the whole sequence restores the
+  // initial state exactly.
   std::uint64_t storage_over = 0, bandwidth_over = 0;
   for (const bool tight : {false, true}) {
     for (const bool output : {true, false}) {
@@ -234,7 +242,7 @@ TEST(DeltaEval, RandomMoveSequenceParity) {
         if (step % 16 == 7) {
           fresh.reset(inc.table());
           expect_state_identical(inc, fresh);
-          expect_matches_oracles(inc, ctx);
+          expect_matches_oracles(inc, ctx, f);
           storage_over += inc.storage_violations();
           bandwidth_over += inc.bandwidth_violations();
         }

@@ -383,7 +383,9 @@ TEST(DegenerateGrid, TwoByTwoTorusBehavesLikeAMesh) {
       const Coord a = torus.coord(static_cast<std::size_t>(s));
       const Coord b = torus.coord(static_cast<std::size_t>(d));
       EXPECT_EQ(torus.hops(a, b), mesh.hops(a, b));
-      if (!(a == b)) EXPECT_EQ(torus.next_hop(a, b), mesh.next_hop(a, b));
+      if (!(a == b)) {
+        EXPECT_EQ(torus.next_hop(a, b), mesh.next_hop(a, b));
+      }
     }
   }
   // X resolves before Y (dimension order).

@@ -350,10 +350,14 @@ TEST(ServeDist, CacheHitIsNotAnsweredBehindRunningTunes) {
 
   // Two uncached tunes on different machines (so they cannot coalesce)
   // keep both of the shard's responders waiting; the warm hit behind
-  // them must still come back first.
+  // them must still come back first.  Time coefficients 0..9 give each
+  // tune 1000 time triples against the default 27, so it outlasts the
+  // hit by a wide margin however fast the search gets.
   WireRequest tune6 = tune_req("matmul:6", 6);
   tune6.machine_rows = 6;
-  WireRequest tune7 = tune_req("matmul:6", 7);
+  for (std::int64_t c = 0; c < 10; ++c) tune6.time_coeffs.push_back(c);
+  WireRequest tune7 = tune6;
+  tune7.machine_cols = 7;
   tune7.machine_rows = 7;
 
   std::mutex mu;

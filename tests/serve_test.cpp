@@ -789,12 +789,11 @@ TEST(Service, CheapMissIsAnsweredWhileATuneHoldsAWorker) {
   w.kind = RequestKind::kTune;
   w.spec = "matmul:6";
   w.machine_cols = w.machine_rows = 7;
-  // Six time coefficients per axis instead of three: 157k slots, so the
-  // one-lane tune still takes tens of milliseconds now that each
-  // placement's digest is built once per lane (the default 19683-slot
-  // space took about 7 ms, which a loaded host could finish before the
-  // cost eval below was answered).
-  w.time_coeffs = {0, 1, 2, 3, 4, 5};
+  // Ten time coefficients per axis instead of three: 1000 time triples
+  // against the default 27, so the one-lane tune outlasts the cost eval
+  // below by a wide margin on a loaded host (with six, about 15 ms, a
+  // loaded host once finished it first).
+  w.time_coeffs = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
   w.tune_workers = 1;  // one lane
   std::future<Response> slow = svc.submit(to_request(w, catalog));
   // Wait until a worker has started the tune, then a little longer so
